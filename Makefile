@@ -1,4 +1,4 @@
-.PHONY: all build test check clean repro quick sweep bench bench-sweep bench-host bench-host-smoke bench-service metrics fuzz profile perfgate perfgate-service fault-matrix
+.PHONY: all build test check clean repro quick sweep bench bench-service metrics fuzz profile perfgate perfgate-service fault-matrix
 
 all: build
 
@@ -13,7 +13,7 @@ check:
 	dune build
 	dune runtest
 
-# Worker-domain count for sharded targets (sweep, bench, fault-matrix).
+# Worker-domain count for sharded targets (sweep, fault-matrix).
 # Output is byte-identical at any value; JOBS=1 is the determinism control.
 JOBS ?= 1
 
@@ -30,42 +30,22 @@ repro:
 sweep:
 	dune exec bin/repro.exe -- sweep --quick -j $(JOBS)
 
-# Host micro-benchmarks + the full paper reproduction, sharding the cells
-# inside each experiment across JOBS domains.
+# The repository's benchmark: host time and simulated results for every
+# scheme on the list-1t, hash-4t and service workloads (perfbench/README.md).
 bench:
-	dune exec bench/main.exe -- --quick --jobs $(JOBS)
-
-# Sequential vs parallel wall-clock for the quick matrix: writes
-# BENCH_SWEEP.json (host_cores, both timings, output-identical check).
-# Gated warn-only by perfgate's host dimension.
-SWEEP_JOBS ?= 4
-bench-sweep:
-	dune exec bench/main.exe -- --sweep-timing --jobs $(SWEEP_JOBS) \
-	  --out BENCH_SWEEP.json
-
-# Host-throughput report (the CI invocation): fused vs slow engine over the
-# paper methods at 1 and 4 threads, writing BENCH_HOST.json.  Exits nonzero
-# if any config's simulated results differ between the two paths.  The
-# smoke variant is the PR-time differential: a reduced matrix whose only
-# point is the sim-identity check.
-bench-host:
-	dune exec --profile release bench/main.exe -- --host-throughput \
-	  --out BENCH_HOST.json
-
-bench-host-smoke:
-	dune exec bench/main.exe -- --host-throughput --smoke \
-	  --out BENCH_HOST.smoke.json
+	bash perfbench/run.sh --workload all
 
 # Service-scenario SLA baseline (E14): the four-phase Zipfian store per
 # scheme, with per-phase op p99 and peak unreclaimed embedded as a
 # "phases" array — what perfgate's phase_p99 / phase_unreclaimed
-# dimensions gate against.
+# dimensions gate against.  `dune runtest` regenerates and diffs it too.
 bench-service:
 	dune exec bench/main.exe -- --service --out BENCH_SERVICE.json
 
 # Machine-readable metrics baseline: a small E1-style sweep with the full
 # metrics snapshot and cycle-attribution profile per run.  CI archives the
-# JSON as an artifact; it is also the committed perf-regression baseline.
+# JSON as an artifact; it is also the committed perf-regression baseline,
+# which `dune runtest` regenerates and diffs (`dune promote` refreshes it).
 metrics:
 	dune exec bench/main.exe -- --profile --out BENCH_E1.json
 

@@ -1,150 +1,34 @@
-(* Benchmark entry point.
+(* Simulated-baseline dumps: the committed BENCH_*.json documents that
+   `bin/perfgate` gates against.
 
-   Part 1 — Bechamel micro-benchmarks (wall-clock cost of the simulator's
-   own primitives, one [Test.make] per table below).  These measure the
-   *host-level* speed of the simulation substrate; the paper's simulated
-   results come from Part 2.
+     bench --profile [--out PATH]   small E1-style sweep  -> BENCH_E1.json
+     bench --service [--out PATH]   E14 service scenario  -> BENCH_SERVICE.json
 
-   Part 2 — the full paper reproduction: every table and figure of the
-   evaluation (Figs. 4, 5, 6, the §5.1 remap-strategy claim, the §3.2
-   memory-release mechanics, the footnote-2 DWCAS leak, the §2.4 cost
-   micro-validation) plus the ablations documented in DESIGN.md, all in
-   simulated cycles via the experiment registry.
+   Both documents hold simulated numbers only, so they are byte-identical
+   for a given tree: `dune runtest` regenerates them and diffs them against
+   the committed files (`dune promote` refreshes them).  Host time — how
+   fast the simulator runs — is measured by perfbench/ alone; the paper
+   reproduction itself is `bin/repro all`. *)
 
-   Sizes are scaled for wall-clock time (see DESIGN.md / EXPERIMENTS.md);
-   `bin/repro run <fig> --full` reruns any figure at paper scale. *)
-
-open Bechamel
-open Toolkit
-open Oamem_engine
-open Oamem_vmem
 open Oamem_harness
-
-(* --- Part 1: bechamel micro-benchmarks -------------------------------------- *)
-
-let geom = Geometry.default
-
-let test_prng =
-  Test.make ~name:"prng/next"
-    (Staged.stage
-       (let r = Prng.create 1 in
-        fun () -> ignore (Prng.next r)))
-
-let test_cache_hit =
-  Test.make ~name:"cache/l1-hit"
-    (Staged.stage
-       (let c = Cache.create ~name:"l1" ~sets:64 ~ways:4 in
-        ignore (Cache.access c 42);
-        fun () -> ignore (Cache.access c 42)))
-
-let test_hierarchy_access =
-  Test.make ~name:"hierarchy/access"
-    (Staged.stage
-       (let h =
-          Hierarchy.create ~cost:Cost_model.opteron_6274 ~nthreads:4 ()
-        in
-        let i = ref 0 in
-        fun () ->
-          incr i;
-          ignore (Hierarchy.access h ~tid:(!i land 3) ~kind:Hierarchy.Load (!i land 1023))))
-
-let test_vmem_load =
-  Test.make ~name:"vmem/load"
-    (Staged.stage
-       (let vm = Vmem.create ~max_pages:1024 geom in
-        let ctx = Engine.external_ctx () in
-        let addr = Vmem.reserve vm ~npages:1 in
-        Vmem.map_anon vm ctx ~vpage:(Geometry.page_of_addr geom addr) ~npages:1;
-        Vmem.store vm ctx addr 1;
-        fun () -> ignore (Vmem.load vm ctx addr)))
-
-let test_vmem_cas =
-  Test.make ~name:"vmem/cas"
-    (Staged.stage
-       (let vm = Vmem.create ~max_pages:1024 geom in
-        let ctx = Engine.external_ctx () in
-        let addr = Vmem.reserve vm ~npages:1 in
-        Vmem.map_anon vm ctx ~vpage:(Geometry.page_of_addr geom addr) ~npages:1;
-        Vmem.store vm ctx addr 0;
-        fun () -> ignore (Vmem.cas vm ctx addr ~expect:0 ~desired:0)))
-
-let test_malloc_free =
-  Test.make ~name:"lrmalloc/malloc+free"
-    (Staged.stage
-       (let vm = Vmem.create ~max_pages:65536 geom in
-        let meta = Cell.heap geom in
-        let a =
-          Oamem_lrmalloc.Lrmalloc.create ~vmem:vm ~meta ~nthreads:1 ()
-        in
-        let ctx = Engine.external_ctx () in
-        fun () ->
-          let b = Oamem_lrmalloc.Lrmalloc.malloc a ctx 2 in
-          Oamem_lrmalloc.Lrmalloc.free a ctx b))
-
-let test_engine_step =
-  Test.make ~name:"engine/create+200-accesses"
-    (Staged.stage (fun () ->
-         let eng = Engine.create ~nthreads:2 () in
-         for tid = 0 to 1 do
-           Engine.spawn eng ~tid (fun ctx ->
-               for i = 0 to 99 do
-                 Engine.Mem.access ctx ~vpage:(-1) ~paddr:(i land 63)
-                   ~kind:Engine.Load
-               done)
-         done;
-         Engine.run eng))
-
-let run_bechamel () =
-  let tests =
-    [
-      test_prng;
-      test_cache_hit;
-      test_hierarchy_access;
-      test_vmem_load;
-      test_vmem_cas;
-      test_malloc_free;
-      test_engine_step;
-    ]
-  in
-  let benchmark test =
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.3) () in
-    Benchmark.all cfg instances test
-  in
-  let analyze results =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Instance.monotonic_clock results
-  in
-  Printf.printf "\n== host-level micro-benchmarks (bechamel, wall clock) ==\n";
-  Printf.printf "%-26s %14s\n" "benchmark" "ns/op";
-  Printf.printf "%s\n" (String.make 42 '-');
-  List.iter
-    (fun test ->
-      let results = analyze (benchmark (Test.make_grouped ~name:"g" [ test ])) in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Printf.printf "%-26s %14.1f\n" name est
-          | _ -> Printf.printf "%-26s %14s\n" name "-")
-        results)
-    tests;
-  Printf.printf "%!"
-
-(* --- Part 2: machine-readable metrics dump (BENCH_*.json) -------------------- *)
-
-(* `bench --metrics-only [--out PATH]` runs a small E1-style sweep (hash set,
-   update-only) and writes one JSON document per run with the full metrics
-   snapshot — the regression-tracking baseline CI archives as BENCH_E1.json.
-   `bench --profile` additionally enables the cycle-attribution profiler and
-   embeds each run's profile (spans, op latencies, hot addresses) in the
-   document, which is what `bin/perfgate` gates p99 latency on. *)
-
 module Json = Oamem_obs.Json
 module Export = Oamem_obs.Export
 
-let run_metrics_dump ~profile ~out =
+let write_doc ~out doc =
+  let oc = open_out out in
+  output_string oc (Json.to_string doc);
+  output_char oc '\n';
+  close_out oc
+
+(* --- BENCH_E1.json ----------------------------------------------------------- *)
+
+(* `bench --profile` runs a small E1-style sweep (hash set, update-only) with
+   the cycle-attribution profiler on and writes one JSON document per run:
+   the full metrics snapshot and the profile (spans, op latencies, hot
+   addresses), which is what `bin/perfgate` gates throughput and p99
+   latency on. *)
+
+let run_metrics_dump ~out =
   (* the paper's four methods, the epoch pair the relative gate compares
      (DEBRA's no-fault throughput must track EBR's), and IMR for the
      warn-only imr:oa-bit gate *)
@@ -167,162 +51,38 @@ let run_metrics_dump ~profile ~out =
                   workload =
                     Workload.make ~mix:Workload.update_only ~initial:1_000 ();
                   horizon_cycles = 100_000;
-                  profile;
+                  profile = true;
                 }
             in
-            Json.Obj
-              ([
-                 ("scheme", Json.String scheme);
-                 ("threads", Json.Int t);
-                 ("throughput_mops", Json.Float r.Runner.throughput_mops);
-                 ("host_steps", Json.Int r.Runner.host_steps);
-                 ( "host_steps_per_sec",
-                   Json.Float r.Runner.host_steps_per_sec );
-                 ("metrics", Export.metrics_json r.Runner.metrics);
-               ]
-              @
-              if profile then
-                [ ("profile", Export.profile_json r.Runner.profile) ]
-              else []))
-          threads)
-      schemes
-  in
-  let doc =
-    Json.Obj
-      [
-        ("experiment", Json.String "E1");
-        ("structure", Json.String "hash-set");
-        ("results", Json.List results);
-      ]
-  in
-  let oc = open_out out in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s (%d runs)\n%!" out (List.length results)
-
-(* --- Part 2b: host-throughput report (BENCH_HOST.json) ----------------------- *)
-
-(* `bench --host-throughput [--smoke] [--out PATH]` runs the E1 sweep twice
-   per configuration — fused fast path vs. pre-fusion slow path — at a
-   longer horizon for stable host timing, and reports simulated steps per
-   host-second for both, the speedup, and whether the simulated results
-   (throughput + full metrics snapshot) were identical.  Any non-identical
-   pair makes the run exit nonzero: sim-identity is a correctness
-   invariant, not a perf number.  [--smoke] shrinks the matrix and horizon
-   to a PR-sized differential (host numbers are then meaningless; only the
-   identity check is the point).  The fused numbers feed Perfgate's
-   host_steps_per_sec dimension (warn-only in CI). *)
-
-let run_host_throughput ~smoke ~out =
-  let schemes =
-    if smoke then [ "nr"; "oa-ver" ] else Oamem_reclaim.Registry.paper_methods
-  in
-  let threads = [ 1; 4 ] in
-  let spec scheme t fused =
-    {
-      Runner.default_spec with
-      Runner.scheme;
-      threads = t;
-      structure = Runner.Hash_set;
-      workload = Workload.make ~mix:Workload.update_only ~initial:1_000 ();
-      horizon_cycles = (if smoke then 400_000 else 2_000_000);
-      fused;
-    }
-  in
-  Printf.printf "%-7s %3s  %14s %14s %8s  %s\n" "scheme" "T" "fused-steps/s"
-    "slow-steps/s" "speedup" "sim-identical";
-  Printf.printf "%s\n" (String.make 70 '-');
-  let entries =
-    List.concat_map
-      (fun scheme ->
-        List.map
-          (fun t ->
-            let fused = Runner.run (spec scheme t true) in
-            let slow = Runner.run (spec scheme t false) in
-            (* same seed, same workload: the two paths must simulate the
-               same execution down to every counter *)
-            let identical =
-              fused.Runner.throughput_mops = slow.Runner.throughput_mops
-              && fused.Runner.ops = slow.Runner.ops
-              && fused.Runner.host_steps = slow.Runner.host_steps
-              && Json.to_string (Export.metrics_json fused.Runner.metrics)
-                 = Json.to_string (Export.metrics_json slow.Runner.metrics)
-            in
-            let speedup =
-              if slow.Runner.host_steps_per_sec > 0. then
-                fused.Runner.host_steps_per_sec
-                /. slow.Runner.host_steps_per_sec
-              else 0.
-            in
-            Printf.printf "%-7s %3d  %14.0f %14.0f %7.2fx  %b\n%!" scheme t
-              fused.Runner.host_steps_per_sec slow.Runner.host_steps_per_sec
-              speedup identical;
             Json.Obj
               [
                 ("scheme", Json.String scheme);
                 ("threads", Json.Int t);
-                (* simulated throughput, so perfgate can key and sanity-check
-                   the document like any BENCH_E1-style dump *)
-                ("throughput_mops", Json.Float fused.Runner.throughput_mops);
-                ("host_steps", Json.Int fused.Runner.host_steps);
-                ( "host_steps_per_sec",
-                  Json.Float fused.Runner.host_steps_per_sec );
-                ( "host_steps_per_sec_unfused",
-                  Json.Float slow.Runner.host_steps_per_sec );
-                ("speedup", Json.Float speedup);
-                ("sim_identical", Json.Bool identical);
+                ("throughput_mops", Json.Float r.Runner.throughput_mops);
+                ("host_steps", Json.Int r.Runner.host_steps);
+                ("metrics", Export.metrics_json r.Runner.metrics);
+                ("profile", Export.profile_json r.Runner.profile);
               ])
           threads)
       schemes
   in
-  let mean_speedup =
-    let sp =
-      List.map
-        (fun e -> match Json.member "speedup" e with
-          | Json.Float f -> f
-          | _ -> 0.)
-        entries
-    in
-    List.fold_left ( +. ) 0. sp /. float_of_int (List.length sp)
-  in
-  Printf.printf "%s\nmean speedup: %.2fx\n%!" (String.make 70 '-') mean_speedup;
-  let doc =
-    Json.Obj
-      [
-        ("experiment", Json.String "host-throughput");
-        ("structure", Json.String "hash-set");
-        ("results", Json.List entries);
-      ]
-  in
-  let oc = open_out out in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s (%d configs)\n%!" out (List.length entries);
-  let broken =
-    List.filter
-      (fun e -> Json.member "sim_identical" e <> Json.Bool true)
-      entries
-  in
-  if broken <> [] then begin
-    Printf.eprintf
-      "host-throughput: %d config(s) with sim_identical=false — the fused \
-       path diverged from the slow path\n\
-       %!"
-      (List.length broken);
-    exit 1
-  end
+  write_doc ~out
+    (Json.Obj
+       [
+         ("experiment", Json.String "E1");
+         ("structure", Json.String "hash-set");
+         ("results", Json.List results);
+       ]);
+  Printf.printf "wrote %s (%d runs)\n%!" out (List.length results)
 
-(* --- Part 2b': service scenario dump (BENCH_SERVICE.json) --------------------- *)
+(* --- BENCH_SERVICE.json -------------------------------------------------------- *)
 
-(* `bench --service [--out PATH]` runs the E14 service scenario (Zipfian
-   session store, four scripted phases ending in a memory-pressure wave)
-   once per scheme and writes a perfgate-compatible document whose results
-   additionally embed a "phases" array: per-phase op p99 and peak
-   unreclaimed nodes.  Perfgate gates those as the phase_p99 /
-   phase_unreclaimed dimensions — the SLA view a whole-run p99 can hide
-   (see EXPERIMENTS.md E14). *)
+(* `bench --service` runs the E14 service scenario (Zipfian session store,
+   four scripted phases ending in a memory-pressure wave) once per scheme
+   and writes a perfgate-compatible document whose results additionally
+   embed a "phases" array: per-phase op p99 and peak unreclaimed nodes.
+   Perfgate gates those as the phase_p99 / phase_unreclaimed dimensions —
+   the SLA view a whole-run p99 can hide (see EXPERIMENTS.md E14). *)
 
 let run_service_dump ~out =
   let schemes = Oamem_reclaim.Registry.names in
@@ -357,140 +117,28 @@ let run_service_dump ~out =
           ])
       schemes
   in
-  let doc =
-    Json.Obj
-      [
-        ("experiment", Json.String "E14");
-        ("structure", Json.String "service(hash-set)");
-        ("results", Json.List results);
-      ]
-  in
-  let oc = open_out out in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
+  write_doc ~out
+    (Json.Obj
+       [
+         ("experiment", Json.String "E14");
+         ("structure", Json.String "service(hash-set)");
+         ("results", Json.List results);
+       ]);
   Printf.printf "wrote %s (%d schemes)\n%!" out (List.length results)
-
-(* --- Part 2c: sweep timing (BENCH_SWEEP.json) --------------------------------- *)
-
-(* `bench --sweep-timing [--jobs N] [--out PATH]` runs the quick experiment
-   matrix sequentially and then across N worker domains, checks the merged
-   report docs are byte-identical, and writes both timings in a
-   perfgate-compatible document.  The simulated dimension (throughput_mops,
-   a deterministic proxy: rendered-report megabytes) is identical by
-   construction, so the 10% gate only trips when experiment *behavior*
-   changes; the host dimension (host_steps_per_sec = experiments per
-   host-second) carries the wall-clock speedup and is warn-only in CI. *)
-
-let run_sweep_timing ~jobs ~out =
-  let cfg = Experiments.quick_config in
-  let render_all outcomes =
-    String.concat ""
-      (List.map
-         (fun (o : Sweep.experiment_outcome) ->
-           match o.Sweep.doc with
-           | Ok doc -> Report.to_string doc
-           | Error msg -> Printf.sprintf "\nFAILED %s: %s\n" o.Sweep.id msg)
-         outcomes)
-  in
-  let time_run jobs =
-    let t0 = Unix.gettimeofday () in
-    let outcomes = Sweep.experiments ~jobs cfg Experiments.all in
-    let dt = Unix.gettimeofday () -. t0 in
-    (render_all outcomes, dt)
-  in
-  let nexp = List.length Experiments.all in
-  Printf.printf "sweep-timing: %d experiments (quick matrix), host cores %d\n%!"
-    nexp (Domain.recommended_domain_count ());
-  let seq_text, seq_dt = time_run 1 in
-  Printf.printf "  -j 1: %.2fs\n%!" seq_dt;
-  let par_text, par_dt = time_run jobs in
-  let identical = String.equal seq_text par_text in
-  Printf.printf "  -j %d: %.2fs (speedup %.2fx, output identical: %b)\n%!" jobs
-    par_dt
-    (if par_dt > 0. then seq_dt /. par_dt else 0.)
-    identical;
-  let entry ~level ~dt text =
-    Json.Obj
-      [
-        ("scheme", Json.String "quick-matrix");
-        ("threads", Json.Int level);
-        (* deterministic proxy (report megabytes): equal across job counts
-           unless experiment behavior changed *)
-        ( "throughput_mops",
-          Json.Float (float_of_int (String.length text) /. 1e6) );
-        ("host_steps_per_sec", Json.Float (float_of_int nexp /. dt));
-        ("wall_seconds", Json.Float dt);
-      ]
-  in
-  let doc =
-    Json.Obj
-      [
-        ("experiment", Json.String "sweep-timing");
-        ("structure", Json.String "quick-matrix");
-        ("host_cores", Json.Int (Domain.recommended_domain_count ()));
-        ("jobs", Json.Int jobs);
-        ("output_identical", Json.Bool identical);
-        ( "results",
-          Json.List
-            [ entry ~level:1 ~dt:seq_dt seq_text;
-              entry ~level:jobs ~dt:par_dt par_text ] );
-      ]
-  in
-  let oc = open_out out in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n%!" out;
-  if not identical then exit 1
-
-(* --- Part 3: the paper reproduction ------------------------------------------ *)
 
 let () =
   let argv = Array.to_list Sys.argv in
-  let quick = List.mem "--quick" argv in
-  let metrics_only = List.mem "--metrics-only" argv in
-  (* --profile implies the metrics dump: it adds a cycle-attribution profile
-     per run, which is what `bin/perfgate` gates p99 latency on. *)
-  let profile = List.mem "--profile" argv in
-  let host_throughput = List.mem "--host-throughput" argv in
-  let smoke = List.mem "--smoke" argv in
-  let sweep_timing = List.mem "--sweep-timing" argv in
-  let service = List.mem "--service" argv in
-  let out_default =
-    if host_throughput then "BENCH_HOST.json"
-    else if sweep_timing then "BENCH_SWEEP.json"
-    else if service then "BENCH_SERVICE.json"
-    else "BENCH_E1.json"
+  let rec out_arg = function
+    | "--out" :: v :: _ -> Some v
+    | _ :: rest -> out_arg rest
+    | [] -> None
   in
-  let find_opt_arg name dfl parse =
-    let rec find = function
-      | flag :: v :: _ when flag = name -> parse v
-      | _ :: rest -> find rest
-      | [] -> dfl
-    in
-    find argv
-  in
-  let out = find_opt_arg "--out" out_default Fun.id in
-  let jobs = find_opt_arg "--jobs" 1 int_of_string in
-  if host_throughput then run_host_throughput ~smoke ~out
-  else if service then run_service_dump ~out
-  else if sweep_timing then
-    run_sweep_timing ~jobs:(max 2 jobs) ~out
-  else if metrics_only || profile then run_metrics_dump ~profile ~out
+  let out dfl = Option.value (out_arg argv) ~default:dfl in
+  if List.mem "--profile" argv then
+    run_metrics_dump ~out:(out "BENCH_E1.json")
+  else if List.mem "--service" argv then
+    run_service_dump ~out:(out "BENCH_SERVICE.json")
   else begin
-    run_bechamel ();
-    let cfg =
-      { (if quick then Experiments.quick_config else Experiments.default_config)
-        with Experiments.jobs }
-    in
-    Printf.printf
-      "\n\
-       == paper reproduction (simulated cycles; see EXPERIMENTS.md for the \
-       paper-vs-measured record) ==\n";
-    List.iter
-      (fun (e : Experiments.t) ->
-        Report.render stdout (e.Experiments.run cfg))
-      Experiments.all;
-    Printf.printf "%!"
+    prerr_endline "usage: bench (--profile | --service) [--out PATH]";
+    exit 2
   end

@@ -1,16 +1,13 @@
-(* CI perf-regression gate: compare a fresh bench --profile dump against a
-   committed baseline and exit non-zero on regression.
+(* CI perf-regression gate: compare a fresh bench --profile / --service
+   dump against a committed baseline and exit non-zero on regression.
 
-     perfgate BASELINE CURRENT [--warn-only] [--warn-dim DIM]...
-              [--max-drop F] [--max-p99 F] [--max-host-drop F]
-              [--relative SCHEME:REF]...
+     perfgate BASELINE CURRENT [--warn-only] [--max-drop F] [--max-p99 F]
+              [--max-unreclaimed F] [--relative SCHEME:REF]...
 
-   Dimensions split in two classes: simulated ones (throughput, p99) are
-   deterministic — a regression is a real cost-model change and gates hard;
-   host-clock ones (host_steps_per_sec) measure the machine running the
-   simulator and are noisy — CI passes --warn-dim host_steps_per_sec so
-   they are reported but never fail the job.  --warn-only keeps its old
-   meaning: everything warns (baseline-refresh mode). *)
+   Every dimension (throughput, op p99, phase p99, phase unreclaimed) is
+   simulated and deterministic, so a regression is a real cost-model change
+   and gates hard.  --warn-only reports everything but exits 0
+   (baseline-refresh mode, and the IMR-vs-OA-BIT tracking leg). *)
 
 open Cmdliner
 module Json = Oamem_obs.Json
@@ -55,16 +52,6 @@ let max_p99_arg =
     & info [ "max-p99" ] ~docv:"FRACTION"
         ~doc:"Maximum tolerated relative p99 latency increase.")
 
-let max_host_drop_arg =
-  Arg.(
-    value
-    & opt float Perfgate.default_thresholds.Perfgate.max_host_drop
-    & info [ "max-host-drop" ] ~docv:"FRACTION"
-        ~doc:
-          "Maximum tolerated relative drop in host simulator speed (steps \
-           per host-second); checked only when both documents carry the \
-           field.")
-
 let max_unreclaimed_arg =
   Arg.(
     value
@@ -75,16 +62,6 @@ let max_unreclaimed_arg =
           "Maximum tolerated relative increase in a service phase's peak \
            unreclaimed nodes; checked per phase of results carrying a \
            'phases' array (BENCH_SERVICE.json).")
-
-let warn_dim_arg =
-  Arg.(
-    value
-    & opt_all string []
-    & info [ "warn-dim" ] ~docv:"DIM"
-        ~doc:
-          "Report but do not fail on regressions in dimension DIM \
-           (throughput, p99 or host_steps_per_sec).  Repeatable.  \
-           Dimensions not listed gate hard.")
 
 let relative_arg =
   Arg.(
@@ -106,37 +83,11 @@ let parse_relative spec =
       Fmt.epr "perfgate: bad --relative %S (expected SCHEME:REF)@." spec;
       exit 2
 
-(* The coarse dimension a verdict's metric belongs to, for --warn-dim
-   selection: "missing" rows count as throughput (a silently shrunk sweep
-   must stay a hard failure unless everything warns). *)
-let has_prefix p s = String.length s >= String.length p && String.sub s 0 (String.length p) = p
-
-let dimension metric =
-  if metric = "host_steps_per_sec" then "host_steps_per_sec"
-  else if has_prefix "phase_p99:" metric then "phase_p99"
-  else if has_prefix "phase_unreclaimed:" metric then "phase_unreclaimed"
-  else if has_prefix "p99:" metric then "p99"
-  else "throughput"
-
-let all_dimensions =
-  [ "throughput"; "p99"; "host_steps_per_sec"; "phase_p99";
-    "phase_unreclaimed" ]
-
-let run baseline current warn_only warn_dims max_drop max_p99 max_host_drop
-    max_unreclaimed relative =
-  List.iter
-    (fun d ->
-      if not (List.mem d all_dimensions) then begin
-        Fmt.epr "perfgate: unknown --warn-dim %S (expected one of %s)@." d
-          (String.concat ", " all_dimensions);
-        exit 2
-      end)
-    warn_dims;
+let run baseline current warn_only max_drop max_p99 max_unreclaimed relative =
   let thresholds =
     {
       Perfgate.max_throughput_drop = max_drop;
       max_p99_increase = max_p99;
-      max_host_drop;
       max_unreclaimed_increase = max_unreclaimed;
     }
   in
@@ -151,25 +102,18 @@ let run baseline current warn_only warn_dims max_drop max_p99 max_host_drop
             ~scheme ~reference ())
         relative
   in
-  let warns v = warn_only || List.mem (dimension v.Perfgate.metric) warn_dims in
   List.iter
     (fun v ->
       Fmt.pr "%a%s@." Perfgate.pp_verdict v
-        (if v.Perfgate.regressed && warns v then " [warn-only]" else ""))
+        (if v.Perfgate.regressed && warn_only then " [warn-only]" else ""))
     verdicts;
-  let gated_dims, warn_dims_shown =
-    if warn_only then ([], all_dimensions)
-    else
-      List.partition (fun d -> not (List.mem d warn_dims)) all_dimensions
+  let regressed =
+    List.length (List.filter (fun v -> v.Perfgate.regressed) verdicts)
   in
-  let pp_dims = function [] -> "none" | ds -> String.concat ", " ds in
-  let regressed = List.filter (fun v -> v.Perfgate.regressed) verdicts in
-  let hard = List.filter (fun v -> not (warns v)) regressed in
-  Fmt.pr "perfgate: %d checks (gated: %s; warn-only: %s), %d regressed (%d \
-          hard)@."
-    (List.length verdicts) (pp_dims gated_dims) (pp_dims warn_dims_shown)
-    (List.length regressed) (List.length hard);
-  if hard <> [] then exit 1
+  Fmt.pr "perfgate: %d checks, %d regressed%s@." (List.length verdicts)
+    regressed
+    (if warn_only then " (warn-only)" else "");
+  if regressed > 0 && not warn_only then exit 1
 
 let () =
   let doc =
@@ -181,5 +125,5 @@ let () =
           (Cmd.info "perfgate" ~doc)
           Term.(
             const run $ baseline_arg $ current_arg $ warn_only_arg
-            $ warn_dim_arg $ max_drop_arg $ max_p99_arg $ max_host_drop_arg
-            $ max_unreclaimed_arg $ relative_arg)))
+            $ max_drop_arg $ max_p99_arg $ max_unreclaimed_arg
+            $ relative_arg)))

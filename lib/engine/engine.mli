@@ -288,7 +288,7 @@ val runahead : t -> bool
 val steps : t -> int
 (** Total yield points executed across all threads and phases (scheduler
     and inline path alike): the engine's simulated step count, the
-    numerator of [bench --host-throughput]'s steps-per-host-second. *)
+    denominator of perfbench's [engine.host_ns_per_step]. *)
 
 type fault_stats = {
   mutable yields : int;  (** yield points executed by this thread *)

@@ -23,12 +23,6 @@ module Json = Oamem_obs.Json
 type thresholds = {
   max_throughput_drop : float;  (* fraction of baseline, e.g. 0.10 *)
   max_p99_increase : float;  (* fraction of baseline, e.g. 0.25 *)
-  max_host_drop : float;
-      (* fraction of baseline host steps/sec, e.g. 0.50.  Unlike the two
-         simulated dimensions this one measures the machine running the
-         simulator, so it is noisy by nature: the threshold is generous and
-         CI runs it warn-only.  Gated only when both documents carry
-         host_steps_per_sec. *)
   max_unreclaimed_increase : float;
       (* fraction of baseline per-phase peak unreclaimed nodes, e.g. 0.25;
          checked per service phase where both documents carry a positive
@@ -39,7 +33,6 @@ let default_thresholds =
   {
     max_throughput_drop = 0.10;
     max_p99_increase = 0.25;
-    max_host_drop = 0.50;
     max_unreclaimed_increase = 0.25;
   }
 
@@ -64,13 +57,6 @@ let results doc =
     Json.(to_list (member "results" doc))
 
 let throughput r = Json.(to_float (member "throughput_mops" r))
-
-(* Host simulator speed; absent in documents produced before the fused
-   engine (or with timing disabled). *)
-let host_steps_per_sec r =
-  match Json.member "host_steps_per_sec" r with
-  | Json.Null -> None
-  | j -> Some (Json.to_float j)
 
 (* (phase, p99, peak_unreclaimed) per entry of a result's embedded "phases"
    array (BENCH_SERVICE.json documents); [] elsewhere. *)
@@ -135,23 +121,6 @@ let compare_results ?(thresholds = default_thresholds) ~baseline ~current () =
               regressed = tchange < -.thresholds.max_throughput_drop;
             }
           in
-          let host =
-            match (host_steps_per_sec br, host_steps_per_sec cr) with
-            | Some bh, Some ch when bh > 0.0 ->
-                let change = rel_change ~baseline:bh ~current:ch in
-                [
-                  {
-                    scheme;
-                    threads;
-                    metric = "host_steps_per_sec";
-                    baseline = bh;
-                    current = ch;
-                    change;
-                    regressed = change < -.thresholds.max_host_drop;
-                  };
-                ]
-            | _ -> []  (* dimension absent on either side: nothing to gate *)
-          in
           let cur_p99s = op_p99s cr in
           let lat =
             List.filter_map
@@ -213,7 +182,7 @@ let compare_results ?(thresholds = default_thresholds) ~baseline ~current () =
                     [ p99; unr ])
               (phases br)
           in
-          (tput :: host) @ lat @ phase)
+          (tput :: lat) @ phase)
     base
 
 (* Relative gate *within* the current document: [scheme]'s throughput must

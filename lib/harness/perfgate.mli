@@ -13,13 +13,6 @@ type thresholds = {
       (** maximum tolerated relative throughput drop (default 0.10) *)
   max_p99_increase : float;
       (** maximum tolerated relative p99 latency increase (default 0.25) *)
-  max_host_drop : float;
-      (** maximum tolerated relative drop in host simulator speed
-          (steps per host-second, default 0.50).  This dimension measures
-          the machine running the simulator, not the simulation, so it is
-          inherently noisy — the default is generous and CI runs it
-          warn-only.  Checked only where both documents carry
-          [host_steps_per_sec]. *)
   max_unreclaimed_increase : float;
       (** maximum tolerated relative increase in a service phase's peak
           unreclaimed nodes (default 0.25).  Checked per phase of a
@@ -47,12 +40,11 @@ val compare_results :
   verdict list
 (** One verdict per (configuration, metric).  p99 checks only run where
     both documents embed a profile for the configuration — baselines
-    predating [bench --profile] get throughput-only gating — and the
-    [host_steps_per_sec] check only where both documents carry the field.
-    Results carrying a ["phases"] array (service scenario documents) get
-    two further verdicts per phase both documents ran:
-    ["phase_p99:<name>"] against [max_p99_increase] and
-    ["phase_unreclaimed:<name>"] against [max_unreclaimed_increase].
+    predating [bench --profile] get throughput-only gating.  Results
+    carrying a ["phases"] array (service scenario documents) get two
+    further verdicts per phase both documents ran: ["phase_p99:<name>"]
+    against [max_p99_increase] and ["phase_unreclaimed:<name>"] against
+    [max_unreclaimed_increase].
     A baseline configuration missing from [current] yields a single
     regressed ["missing"] verdict. *)
 

@@ -32,8 +32,8 @@ type spec = {
   profile : bool;  (* cycle-attribution profiling during the run *)
   fused : bool;
       (* engine inline fast path + vmem translation cache; off = the
-         pre-fusion slow path (the host-throughput baseline and the
-         differential tests — simulated results are identical either way) *)
+         pre-fusion slow path (the differential tests' reference —
+         simulated results are identical either way) *)
   runahead : bool;
       (* run-ahead parking tier of the fused path; only meaningful with
          [fused] — kept separate so the differential tests can compare
@@ -68,11 +68,8 @@ type result = {
   deletes : int;
   sim_seconds : float;
   throughput_mops : float;
-  host_seconds : float;
-      (* host wall-clock spent inside the measured phase *)
   host_steps : int;
       (* simulated yield points executed during the measured phase *)
-  host_steps_per_sec : float;
   metrics : Oamem_obs.Metrics.snapshot;
       (* one named view over every subsystem's counters *)
   trace : Oamem_obs.Trace.t;
@@ -216,10 +213,8 @@ let run spec =
   end;
   let eng = System.engine sys in
   let steps_before = Engine.steps eng in
-  let host_t0 = Unix.gettimeofday () in
   run_phase sys spec target ~stop:(Until_cycles spec.horizon_cycles) ~searches
     ~inserts ~deletes ~seed_base:spec.seed;
-  let host_seconds = Unix.gettimeofday () -. host_t0 in
   let host_steps = Engine.steps eng - steps_before in
   let total a = Array.fold_left ( + ) 0 a in
   let ops = total searches + total inserts + total deletes in
@@ -232,11 +227,7 @@ let run spec =
     deletes = total deletes;
     sim_seconds;
     throughput_mops = float_of_int ops /. sim_seconds /. 1e6;
-    host_seconds;
     host_steps;
-    host_steps_per_sec =
-      (if host_seconds > 0. then float_of_int host_steps /. host_seconds
-       else 0.);
     metrics = System.metrics sys;
     trace = System.trace sys;
     profile = System.profile sys;

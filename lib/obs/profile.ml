@@ -248,11 +248,18 @@ let contended_for t addr =
       Hashtbl.add t.addrs addr c;
       c
 
+(* [owner_of] allocates a fresh [Some node] per call, so owners are equal
+   when they wrap the same node, never by physical equality of the options. *)
+let same_owner a b =
+  match (a, b) with
+  | Some a, Some b -> a == b
+  | None, None -> true
+  | _ -> false
+
 let charge_owner c owner =
   let rec bump = function
     | [] -> [ (owner, 1) ]
-    | (o, n) :: rest when o == owner || (o = None && owner = None) ->
-        (o, n + 1) :: rest
+    | (o, n) :: rest when same_owner o owner -> (o, n + 1) :: rest
     | entry :: rest -> entry :: bump rest
   in
   c.owners <- bump c.owners

@@ -85,22 +85,54 @@ let spec ~fused scheme threads =
     fused;
   }
 
+(* Same seed, same workload: the two runs must simulate the same execution
+   down to every counter. *)
+let check_runs_identical label (expected : Runner.result) (got : Runner.result)
+    =
+  let name what = Printf.sprintf "%s: %s identical" label what in
+  check_int (name "ops") expected.Runner.ops got.Runner.ops;
+  check_bool (name "throughput") true
+    (expected.Runner.throughput_mops = got.Runner.throughput_mops);
+  check_int (name "steps") expected.Runner.host_steps got.Runner.host_steps;
+  check_bool (name "metrics") true
+    (Json.to_string (Export.metrics_json expected.Runner.metrics)
+    = Json.to_string (Export.metrics_json got.Runner.metrics))
+
 let test_runner_differential () =
   List.iter
     (fun (scheme, threads) ->
-      let f = Runner.run (spec ~fused:true scheme threads) in
-      let s = Runner.run (spec ~fused:false scheme threads) in
-      let name what =
-        Printf.sprintf "%s %dT: %s identical" scheme threads what
-      in
-      check_int (name "ops") s.Runner.ops f.Runner.ops;
-      check_bool (name "throughput") true
-        (s.Runner.throughput_mops = f.Runner.throughput_mops);
-      check_int (name "steps") s.Runner.host_steps f.Runner.host_steps;
-      check_bool (name "metrics") true
-        (Json.to_string (Export.metrics_json s.Runner.metrics)
-        = Json.to_string (Export.metrics_json f.Runner.metrics)))
+      check_runs_identical
+        (Printf.sprintf "%s %dT" scheme threads)
+        (Runner.run (spec ~fused:false scheme threads))
+        (Runner.run (spec ~fused:true scheme threads)))
     [ ("oa-ver", 1); ("oa-ver", 4); ("nr", 2); ("hp", 2) ]
+
+(* Every registered scheme at 1 and 4 threads on a 1,000-key update-only
+   hash set over a 2M-cycle window: the default spec (fused, run-ahead
+   parking on) against the slow path, at a scale where tenures, parking and
+   reclamation all run many times per thread. *)
+let test_runner_differential_all_schemes () =
+  List.iter
+    (fun scheme ->
+      List.iter
+        (fun threads ->
+          let spec fused =
+            {
+              Runner.default_spec with
+              Runner.scheme;
+              threads;
+              workload =
+                Workload.make ~mix:Workload.update_only ~initial:1_000 ();
+              horizon_cycles = 2_000_000;
+              fused;
+            }
+          in
+          check_runs_identical
+            (Printf.sprintf "%s %dT" scheme threads)
+            (Runner.run (spec false))
+            (Runner.run (spec true)))
+        [ 1; 4 ])
+    Registry.names
 
 (* IMR leans on the two conditional-access engine paths that have fused-tier
    fast copies — revocation posts (tenure teardown) and the squash latch on
@@ -126,15 +158,7 @@ let test_imr_tri_modal_identity () =
   check_bool "the workload exercises conditional-access failures" true
     (cond_fails > 0);
   List.iter
-    (fun (mode, r) ->
-      let name what = Printf.sprintf "imr %s: %s identical" mode what in
-      check_int (name "ops") slow.Runner.ops r.Runner.ops;
-      check_bool (name "throughput") true
-        (slow.Runner.throughput_mops = r.Runner.throughput_mops);
-      check_int (name "steps") slow.Runner.host_steps r.Runner.host_steps;
-      check_bool (name "metrics") true
-        (Json.to_string (Export.metrics_json slow.Runner.metrics)
-        = Json.to_string (Export.metrics_json r.Runner.metrics)))
+    (fun (mode, r) -> check_runs_identical ("imr " ^ mode) slow r)
     [
       ("tenure-only", Runner.run (spec ~fused:true ~runahead:false));
       ("run-ahead", Runner.run (spec ~fused:true ~runahead:true));
@@ -522,6 +546,8 @@ let () =
             test_engine_differential;
           Alcotest.test_case "runner: fused = slow path" `Quick
             test_runner_differential;
+          Alcotest.test_case "runner: every scheme, 2M cycles, fused = slow"
+            `Slow test_runner_differential_all_schemes;
           Alcotest.test_case "runner: imr identical across all three modes"
             `Quick test_imr_tri_modal_identity;
         ] );

@@ -252,6 +252,29 @@ let test_collapsed_stacks_parse_back () =
     (fun (_, c) -> check_bool "cycles positive" true (c > 0))
     parsed
 
+(* --- contention owner attribution --------------------------------------------- *)
+
+(* One address charged once by frame B, then twice by frame A: A is the
+   dominant owner.  Charging B first makes the order matter — an owner list
+   that keyed entries by the physical identity of a freshly allocated
+   [Some node] held three one-count entries and reported B. *)
+let test_hot_addr_owner_attribution () =
+  let p = Profile.create ~nthreads:2 () in
+  Profile.set_enabled p true;
+  Profile.enter p ~tid:0 ~now:0 Profile.Op_insert;
+  Profile.enter p ~tid:1 ~now:0 Profile.Op_delete;
+  Profile.note_invalidation p ~tid:1 ~addr:64;
+  Profile.note_invalidation p ~tid:0 ~addr:64;
+  Profile.note_cas_failure p ~tid:0 ~addr:64;
+  match Profile.hot_addrs p with
+  | [ h ] ->
+      check_int "invalidations" 2 h.Profile.invalidations;
+      check_int "cas failures" 1 h.Profile.cas_failures;
+      Alcotest.(check (list string))
+        "owner is the frame charged twice" [ "op.insert" ]
+        (List.map Profile.frame_name h.Profile.owner)
+  | hs -> Alcotest.failf "expected one hot address, got %d" (List.length hs)
+
 (* --- reset and the disabled path ------------------------------------------- *)
 
 let test_reset_measurement_clears_profiler () =
@@ -436,6 +459,8 @@ let () =
             test_total_reconciles_with_clocks;
           Alcotest.test_case "same seed, byte-identical export" `Quick
             test_same_seed_byte_identical;
+          Alcotest.test_case "hot address owner is the dominant frame" `Quick
+            test_hot_addr_owner_attribution;
         ] );
       ( "export",
         [
