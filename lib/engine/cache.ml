@@ -50,31 +50,29 @@ let create ~name ~sets ~ways =
 let capacity_lines t = t.sets * t.ways
 let set_of_block t block = block land (t.sets - 1)
 
-(* The lookup and victim loops are top-level functions taking every datum as
-   an argument: local recursive functions capturing their environment would
+(* The lookup loop is a top-level function taking every datum as an
+   argument: a local recursive function capturing its environment would
    allocate a closure per access, and this is the simulator's innermost hot
    path.  Indices are in bounds by construction ([set_of_block] masks with
-   [sets - 1], ways are fixed), so the loops use unchecked array accesses.
-   [base] is an index into [lines] (already doubled); ways step by 2. *)
-let rec find_way lines base ways block i =
-  if i >= ways then -1
-  else if Array.unsafe_get lines (base + (2 * i)) = block then i
-  else find_way lines base ways block (i + 1)
+   [sets - 1], ways are fixed), so the loop uses unchecked array accesses.
+   [base] is an index into [lines] (already doubled); ways step by 2.
 
-(* LRU way of the set (or any invalid way), scanning ways [i..ways-1]. *)
-let rec pick_victim lines base ways best i =
-  if i >= ways then best
+   One scan over ways [i..ways-1] both looks [block] up and picks the
+   victim should it miss.  It returns the way holding [block] (> 0), or
+   [-1 - v] for victim way [v]: the last invalid way if there is one, else
+   the way with the smallest LRU stamp.  [best] is the victim among ways
+   [0..i-1] and [key] its stamp, or [min_int] when [best] is invalid, so
+   that no valid way can displace an invalid one. *)
+let rec find_or_victim lines base ways block best key i =
+  if i >= ways then -1 - best
   else
-    let best =
-      if Array.unsafe_get lines (base + (2 * i)) = -1 then i
-      else if
-        Array.unsafe_get lines (base + (2 * best)) <> -1
-        && Array.unsafe_get lines (base + (2 * i) + 1)
-           < Array.unsafe_get lines (base + (2 * best) + 1)
-      then i
-      else best
-    in
-    pick_victim lines base ways best (i + 1)
+    let tag = Array.unsafe_get lines (base + (2 * i)) in
+    if tag = block then i
+    else if tag = -1 then find_or_victim lines base ways block i min_int (i + 1)
+    else
+      let stamp = Array.unsafe_get lines (base + (2 * i) + 1) in
+      if stamp < key then find_or_victim lines base ways block i stamp (i + 1)
+      else find_or_victim lines base ways block best key (i + 1)
 
 (* Returns [true] on hit.  On miss the block is installed, evicting the
    least-recently-used way of its set.
@@ -85,41 +83,36 @@ let rec pick_victim lines base ways best i =
    matches any way, and victim choice keys on validity and on LRU stamps
    (distinct by construction — each valid way's stamp is the unique tick of
    its last touch), never on position — so the swap cannot change which
-   blocks are resident, hit, miss or get evicted. *)
+   blocks are resident, hit, miss or get evicted.  A hit at way [j] and a
+   miss evicting way [j] both end the same way: the touched block moves to
+   way 0 and the old way 0 moves to way [j]. *)
 let access t block =
   let base = 2 * set_of_block t block * t.ways in
   t.tick <- t.tick + 1;
   let lines = t.lines in
-  if Array.unsafe_get lines base = block then begin
+  let t0 = Array.unsafe_get lines base in
+  if t0 = block then begin
     t.hits <- t.hits + 1;
     Array.unsafe_set lines (base + 1) t.tick;
     true
   end
   else begin
-    let i = find_way lines base t.ways block 1 in
-    if i >= 0 then begin
-      t.hits <- t.hits + 1;
-      let t0 = Array.unsafe_get lines base in
-      let s0 = Array.unsafe_get lines (base + 1) in
-      Array.unsafe_set lines base block;
-      Array.unsafe_set lines (base + 1) t.tick;
-      Array.unsafe_set lines (base + (2 * i)) t0;
-      Array.unsafe_set lines (base + (2 * i) + 1) s0;
-      true
-    end
-    else begin
-      t.misses <- t.misses + 1;
-      let victim = pick_victim lines base t.ways 0 1 in
-      let t0 = Array.unsafe_get lines base in
-      let s0 = Array.unsafe_get lines (base + 1) in
-      Array.unsafe_set lines base block;
-      Array.unsafe_set lines (base + 1) t.tick;
-      if victim > 0 then begin
-        Array.unsafe_set lines (base + (2 * victim)) t0;
-        Array.unsafe_set lines (base + (2 * victim) + 1) s0
-      end;
-      false
-    end
+    let s0 = Array.unsafe_get lines (base + 1) in
+    let r =
+      find_or_victim lines base t.ways block 0
+        (if t0 = -1 then min_int else s0)
+        1
+    in
+    let hit = r > 0 in
+    let j = if hit then r else -1 - r in
+    if hit then t.hits <- t.hits + 1 else t.misses <- t.misses + 1;
+    Array.unsafe_set lines base block;
+    Array.unsafe_set lines (base + 1) t.tick;
+    if j > 0 then begin
+      Array.unsafe_set lines (base + (2 * j)) t0;
+      Array.unsafe_set lines (base + (2 * j) + 1) s0
+    end;
+    hit
   end
 
 (* Probe without installing or updating LRU state. *)

@@ -13,14 +13,14 @@ type t = {
 
 let default = { line_bits = 3; page_bits = 9 }
 
-let line_words t = 1 lsl t.line_bits
-let page_words t = 1 lsl t.page_bits
-let lines_per_page t = 1 lsl (t.page_bits - t.line_bits)
+let[@inline] line_words t = 1 lsl t.line_bits
+let[@inline] page_words t = 1 lsl t.page_bits
+let[@inline] lines_per_page t = 1 lsl (t.page_bits - t.line_bits)
 
-let block_of_addr t addr = addr asr t.line_bits
-let page_of_addr t addr = addr asr t.page_bits
-let offset_in_page t addr = addr land (page_words t - 1)
-let addr_of_page t page = page lsl t.page_bits
+let[@inline] block_of_addr t addr = addr asr t.line_bits
+let[@inline] page_of_addr t addr = addr asr t.page_bits
+let[@inline] offset_in_page t addr = addr land (page_words t - 1)
+let[@inline] addr_of_page t page = page lsl t.page_bits
 
 let pp ppf t =
   Fmt.pf ppf "geometry{line=%dw page=%dw}" (line_words t) (page_words t)

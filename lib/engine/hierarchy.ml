@@ -130,6 +130,8 @@ let[@inline] sharers t block =
   if Array.unsafe_get dir (2 * i) = block then Array.unsafe_get dir ((2 * i) + 1)
   else 0
 
+let l1_holds t ~tid block = Cache.present t.l1.(tid) block
+
 let dir_grow t =
   let old = t.dir in
   let n = 2 * Array.length old in
@@ -172,44 +174,56 @@ let invalidate_others t ~tid others block =
   done;
   t.remote_invalidations <- t.remote_invalidations + 1
 
-(* Charge one access and update cache state; returns the cycle cost. *)
+(* Charge one access and update cache state; returns the cycle cost.
+
+   A load that hits the thread's own L1 skips the directory.  A block in
+   thread [tid]'s L1 always has bit [tid] set in its sharer mask: every
+   access by [tid] sets the bit, and the only mask rewrite that drops it is
+   a remote store or RMW, which in the same call invalidates [tid]'s L1
+   copy ([invalidate_others]).  So the skipped probe would find the bit
+   set, write nothing and cost 0.  Stores and RMWs still probe: they must
+   invalidate the remote copies. *)
 let access t ~tid ~kind block =
   let c = t.cost in
-  let hit_cost =
-    if Cache.access t.l1.(tid) block then c.l1_hit
-    else if Cache.access t.l2.(l2_bank t tid) block then c.l2_hit
-    else if Cache.access t.l3 block then c.l3_hit
-    else c.dram
-  in
-  let coherence_cost =
-    (* one directory probe serves both the sharer read and the mask update
-       ([invalidate_others] only touches the caches, so slot [i] stays
-       valid across it) *)
-    let bit = 1 lsl tid in
-    let dir = t.dir in
-    let i = dir_slot dir block in
-    let mask =
-      if Array.unsafe_get dir (2 * i) = block then
-        Array.unsafe_get dir ((2 * i) + 1)
-      else 0
-    in
-    match kind with
-    | Load ->
-        if mask land bit = 0 then dir_put t i block (mask lor bit);
-        0
-    | Store | Rmw ->
-        if mask land lnot bit = 0 then begin
-          if mask <> bit then dir_put t i block bit;
-          0
-        end
-        else begin
-          invalidate_others t ~tid (mask land lnot bit) block;
-          dir_put t i block bit;
-          c.invalidation
-        end
-  in
-  let rmw_cost = match kind with Rmw -> c.rmw_extra | Load | Store -> 0 in
-  hit_cost + coherence_cost + rmw_cost
+  let l1_hit = Cache.access t.l1.(tid) block in
+  match kind with
+  | Load when l1_hit -> c.l1_hit
+  | Load | Store | Rmw ->
+      let hit_cost =
+        if l1_hit then c.l1_hit
+        else if Cache.access t.l2.(l2_bank t tid) block then c.l2_hit
+        else if Cache.access t.l3 block then c.l3_hit
+        else c.dram
+      in
+      let coherence_cost =
+        (* one directory probe serves both the sharer read and the mask update
+           ([invalidate_others] only touches the caches, so slot [i] stays
+           valid across it) *)
+        let bit = 1 lsl tid in
+        let dir = t.dir in
+        let i = dir_slot dir block in
+        let mask =
+          if Array.unsafe_get dir (2 * i) = block then
+            Array.unsafe_get dir ((2 * i) + 1)
+          else 0
+        in
+        match kind with
+        | Load ->
+            if mask land bit = 0 then dir_put t i block (mask lor bit);
+            0
+        | Store | Rmw ->
+            if mask land lnot bit = 0 then begin
+              if mask <> bit then dir_put t i block bit;
+              0
+            end
+            else begin
+              invalidate_others t ~tid (mask land lnot bit) block;
+              dir_put t i block bit;
+              c.invalidation
+            end
+      in
+      let rmw_cost = match kind with Rmw -> c.rmw_extra | Load | Store -> 0 in
+      hit_cost + coherence_cost + rmw_cost
 
 (* Cheap accessor for hot-path delta checks (profiler attribution); [stats]
    allocates a full record per call. *)

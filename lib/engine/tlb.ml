@@ -27,7 +27,7 @@ let create ?(slots = 64) ~cost ~nthreads () =
   }
 
 (* Charge one translation of [vpage] by thread [tid]; returns cycle cost. *)
-let access t ~tid vpage =
+let[@inline] access t ~tid vpage =
   let e = t.entries.(tid) in
   let idx = vpage land (t.slots - 1) in
   if e.(idx) = vpage then begin

@@ -36,9 +36,9 @@ let snapshot ctx t =
           if v <> 0 then acc := v :: !acc)
         row)
     t.slots;
-  List.sort_uniq compare !acc
+  List.sort_uniq Int.compare !acc
 
-let protects snapshot addr = List.mem addr snapshot
+let protects snapshot addr = List.exists (Int.equal addr) snapshot
 
 (* Uncosted views for assertions. *)
 let peek_thread t ~tid = Array.map Cell.peek t.slots.(tid)

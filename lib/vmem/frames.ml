@@ -107,11 +107,11 @@ let free t id =
   t.freed_total <- t.freed_total + 1;
   Mutex.unlock t.lock
 
-let word t ~frame ~off =
+let[@inline] word t ~frame ~off =
   assert (off >= 0 && off < Geometry.page_words t.geom);
   t.store.(frame).(off)
 
-let paddr t ~frame ~off = (frame lsl t.geom.Geometry.page_bits) lor off
+let[@inline] paddr t ~frame ~off = (frame lsl t.geom.Geometry.page_bits) lor off
 
 let live t = t.live
 let peak t = t.peak

@@ -98,6 +98,22 @@ let test_cache_stats () =
   let (s : Cache.stats) = Cache.stats c in
   check_int "reset" 0 (s.hits + s.misses)
 
+(* Victim choice prefers any invalid way to the least-recently-used valid
+   one, wherever the invalid way sits in the set. *)
+let test_cache_invalid_way_wins () =
+  let c = Cache.create ~name:"t" ~sets:1 ~ways:3 in
+  List.iter (fun b -> ignore (Cache.access c b)) [ 1; 2; 3 ];
+  Cache.invalidate c 2;
+  check_bool "4 misses" false (Cache.access c 4);
+  check_bool "oldest valid way survives" true (Cache.present c 1);
+  check_bool "3 survives" true (Cache.present c 3);
+  (* the most recent block sits at the front of the set; invalidate it *)
+  Cache.invalidate c 4;
+  check_bool "5 misses" false (Cache.access c 5);
+  check_bool "1 still survives" true (Cache.present c 1);
+  check_bool "3 still survives" true (Cache.present c 3);
+  check_bool "5 installed" true (Cache.present c 5)
+
 let test_cache_bad_create () =
   Alcotest.check_raises "sets must be pow2" (Invalid_argument
     "Cache.create: sets must be a power of two") (fun () ->
@@ -161,6 +177,307 @@ let test_hierarchy_stats () =
   Hierarchy.reset_stats h;
   let s = Hierarchy.stats h in
   check_int "reset" 0 s.l1.Cache.hits
+
+(* Differential test against a reference model of the hierarchy without
+   the two host-speed shortcuts of {!Hierarchy} and {!Cache}: every access
+   probes the directory (a plain Hashtbl here), even a load that hits L1,
+   and a cache looks a block up and picks its victim in two separate scans
+   over a set that keeps no MRU order.  [skip] names the kinds that skip
+   the directory on an L1 hit: none in the faithful model; loads and
+   stores in the mutant that the positive control must catch. *)
+module Ref_hierarchy = struct
+  type cache = {
+    sets : int;
+    ways : int;
+    lines : int array;  (* tag at [2i] (-1 = invalid), LRU stamp at [2i + 1] *)
+    mutable tick : int;
+    mutable hits : int;
+    mutable misses : int;
+    mutable invalidations : int;
+  }
+
+  let cache ~sets ~ways =
+    {
+      sets;
+      ways;
+      lines =
+        Array.init (2 * sets * ways) (fun i -> if i land 1 = 0 then -1 else 0);
+      tick = 0;
+      hits = 0;
+      misses = 0;
+      invalidations = 0;
+    }
+
+  let base c block = 2 * (block land (c.sets - 1)) * c.ways
+
+  let find_way c block =
+    let base = base c block in
+    let rec go i =
+      if i >= c.ways then -1
+      else if c.lines.(base + (2 * i)) = block then i
+      else go (i + 1)
+    in
+    go 0
+
+  (* An invalid way (the last one), else the smallest LRU stamp. *)
+  let pick_victim c block =
+    let base = base c block in
+    let tag i = c.lines.(base + (2 * i))
+    and stamp i = c.lines.(base + (2 * i) + 1) in
+    let rec go best i =
+      if i >= c.ways then best
+      else if tag i = -1 then go i (i + 1)
+      else if tag best <> -1 && stamp i < stamp best then go i (i + 1)
+      else go best (i + 1)
+    in
+    go 0 1
+
+  let cache_access c block =
+    c.tick <- c.tick + 1;
+    let way = find_way c block in
+    let hit = way >= 0 in
+    let way =
+      if hit then (c.hits <- c.hits + 1; way)
+      else (c.misses <- c.misses + 1; pick_victim c block)
+    in
+    let i = base c block + (2 * way) in
+    c.lines.(i) <- block;
+    c.lines.(i + 1) <- c.tick;
+    hit
+
+  let cache_invalidate c block =
+    let way = find_way c block in
+    if way >= 0 then begin
+      c.lines.(base c block + (2 * way)) <- -1;
+      c.invalidations <- c.invalidations + 1
+    end
+
+  type t = {
+    cost : Cost_model.t;
+    nthreads : int;
+    per_l2 : int;
+    l1 : cache array;
+    l2 : cache array;
+    l3 : cache;
+    dir : (int, int) Hashtbl.t;
+    mutable remote_invalidations : int;
+    skip : Hierarchy.kind -> bool;
+  }
+
+  let create ?(skip = fun _ -> false) (cfg : Hierarchy.config) ~cost ~nthreads =
+    let per_l2 = cfg.threads_per_l2 in
+    {
+      cost;
+      nthreads;
+      per_l2;
+      l1 =
+        Array.init nthreads (fun _ ->
+            cache ~sets:cfg.l1_sets ~ways:cfg.l1_ways);
+      l2 =
+        Array.init ((nthreads + per_l2 - 1) / per_l2) (fun _ ->
+            cache ~sets:cfg.l2_sets ~ways:cfg.l2_ways);
+      l3 = cache ~sets:cfg.l3_sets ~ways:cfg.l3_ways;
+      dir = Hashtbl.create 64;
+      remote_invalidations = 0;
+      skip;
+    }
+
+  let sharers t block = Option.value ~default:0 (Hashtbl.find_opt t.dir block)
+
+  let access t ~tid ~kind block =
+    let c = t.cost in
+    let l1_hit = cache_access t.l1.(tid) block in
+    if l1_hit && t.skip kind then c.l1_hit
+    else
+      let hit_cost =
+        if l1_hit then c.l1_hit
+        else if cache_access t.l2.(tid / t.per_l2) block then c.l2_hit
+        else if cache_access t.l3 block then c.l3_hit
+        else c.dram
+      in
+      let bit = 1 lsl tid and mask = sharers t block in
+      let coherence_cost =
+        match (kind : Hierarchy.kind) with
+        | Load ->
+            Hashtbl.replace t.dir block (mask lor bit);
+            0
+        | Store | Rmw ->
+            Hashtbl.replace t.dir block bit;
+            let others = mask land lnot bit in
+            if others = 0 then 0
+            else begin
+              for tid' = 0 to t.nthreads - 1 do
+                if others land (1 lsl tid') <> 0 then begin
+                  cache_invalidate t.l1.(tid') block;
+                  if tid' / t.per_l2 <> tid / t.per_l2 then
+                    cache_invalidate t.l2.(tid' / t.per_l2) block
+                end
+              done;
+              t.remote_invalidations <- t.remote_invalidations + 1;
+              c.invalidation
+            end
+      in
+      let rmw_cost = match kind with Rmw -> c.rmw_extra | Load | Store -> 0 in
+      hit_cost + coherence_cost + rmw_cost
+
+  let stats t : Hierarchy.stats =
+    let one c : Cache.stats =
+      { hits = c.hits; misses = c.misses; invalidations = c.invalidations }
+    in
+    let sum cs : Cache.stats =
+      Array.fold_left
+        (fun (acc : Cache.stats) c ->
+          {
+            hits = acc.hits + c.hits;
+            misses = acc.misses + c.misses;
+            invalidations = acc.invalidations + c.invalidations;
+          })
+        { hits = 0; misses = 0; invalidations = 0 }
+        cs
+    in
+    {
+      l1 = sum t.l1;
+      l2 = sum t.l2;
+      l3 = one t.l3;
+      remote_invalidations = t.remote_invalidations;
+    }
+end
+
+(* The observable surface of one hierarchy implementation. *)
+type hierarchy_impl = {
+  access : tid:int -> kind:Hierarchy.kind -> int -> int;
+  stats : unit -> Hierarchy.stats;
+  remote_invalidations : unit -> int;
+  sharers : int -> int;
+  l1_holds : tid:int -> int -> bool;
+}
+
+let real_impl cfg ~nthreads =
+  let h = Hierarchy.create ~cfg ~cost ~nthreads () in
+  {
+    access = Hierarchy.access h;
+    stats = (fun () -> Hierarchy.stats h);
+    remote_invalidations = (fun () -> Hierarchy.remote_invalidations h);
+    sharers = Hierarchy.sharers h;
+    l1_holds = Hierarchy.l1_holds h;
+  }
+
+let ref_impl ?skip cfg ~nthreads =
+  let r = Ref_hierarchy.create ?skip cfg ~cost ~nthreads in
+  {
+    access = Ref_hierarchy.access r;
+    stats = (fun () -> Ref_hierarchy.stats r);
+    remote_invalidations = (fun () -> r.remote_invalidations);
+    sharers = Ref_hierarchy.sharers r;
+    l1_holds =
+      (fun ~tid block -> Ref_hierarchy.find_way r.l1.(tid) block >= 0);
+  }
+
+(* Drive [a] and [b] with one seeded Load/Store/Rmw stream and return the
+   first divergence in per-access cost, stats, invalidation count or the
+   sharers of a touched block, or the first L1-resident block whose
+   holder's sharer bit is clear.  Blocks mix a few contended hot lines,
+   metadata-region lines near 2^47 and two ranges sized to overflow L1
+   and L3.  An access can only add L1 residency or change sharer bits for
+   the block it touches, so checking that block after every step (and
+   every touched block at the end) checks the invariant everywhere. *)
+let hierarchy_diff (cfg : Hierarchy.config) ~nthreads ~seed ~steps a b =
+  let r = Prng.create seed in
+  let l1_range = 4 * cfg.l1_sets * cfg.l1_ways
+  and l3_range = 4 * cfg.l3_sets * cfg.l3_ways in
+  let touched = Hashtbl.create 1024 in
+  let exception Diverged of string in
+  let fail step fmt =
+    Printf.ksprintf
+      (fun m -> raise (Diverged (Printf.sprintf "step %d: %s" step m)))
+      fmt
+  in
+  let check_block step block =
+    if a.sharers block <> b.sharers block then
+      fail step "sharers of %d: %#x <> %#x" block (a.sharers block)
+        (b.sharers block);
+    List.iter
+      (fun (name, i) ->
+        for tid = 0 to nthreads - 1 do
+          if i.l1_holds ~tid block && i.sharers block land (1 lsl tid) = 0
+          then
+            fail step "%s: L1.%d holds %d without its sharer bit" name tid
+              block
+        done)
+      [ ("a", a); ("b", b) ]
+  in
+  try
+    for step = 1 to steps do
+      let tid = Prng.int r nthreads in
+      let block =
+        match Prng.int r 8 with
+        | 0 -> Prng.int r 4
+        | 1 -> (1 lsl 47) + Prng.int r 64
+        | 2 | 3 | 4 -> Prng.int r l1_range
+        | _ -> Prng.int r l3_range
+      in
+      let kind =
+        match Prng.int r 10 with
+        | 0 | 1 -> Hierarchy.Store
+        | 2 -> Hierarchy.Rmw
+        | _ -> Hierarchy.Load
+      in
+      Hashtbl.replace touched block ();
+      let ca = a.access ~tid ~kind block and cb = b.access ~tid ~kind block in
+      if ca <> cb then fail step "cost of %d by %d: %d <> %d" block tid ca cb;
+      if a.remote_invalidations () <> b.remote_invalidations () then
+        fail step "remote invalidations";
+      if a.stats () <> b.stats () then fail step "stats";
+      check_block step block
+    done;
+    Hashtbl.iter (fun block () -> check_block steps block) touched;
+    Ok ()
+  with Diverged m -> Error m
+
+let diff_cases =
+  List.concat_map
+    (fun (name, cfg) ->
+      List.map (fun nthreads -> (name, cfg, nthreads)) [ 1; 2; 4; 8 ])
+    [
+      ("tiny", Hierarchy.tiny_config);
+      ("opteron", Hierarchy.opteron_6274_config);
+    ]
+
+let diff_steps = 20_000
+
+let test_hierarchy_matches_reference () =
+  List.iter
+    (fun (name, cfg, nthreads) ->
+      List.iter
+        (fun seed ->
+          match
+            hierarchy_diff cfg ~nthreads ~seed ~steps:diff_steps
+              (real_impl cfg ~nthreads) (ref_impl cfg ~nthreads)
+          with
+          | Ok () -> ()
+          | Error m ->
+              Alcotest.failf "%s, %d threads, seed %d: %s" name nthreads seed m)
+        [ 1; 2 ])
+    diff_cases
+
+(* Positive control: skipping the directory on L1-hit stores too leaves
+   remote copies valid, which the differential run must catch wherever
+   another thread can hold the block. *)
+let test_hierarchy_diff_catches_store_skip () =
+  let skip : Hierarchy.kind -> bool = function
+    | Load | Store -> true
+    | Rmw -> false
+  in
+  List.iter
+    (fun (name, cfg, nthreads) ->
+      let verdict =
+        hierarchy_diff cfg ~nthreads ~seed:1 ~steps:diff_steps
+          (ref_impl ~skip cfg ~nthreads) (ref_impl cfg ~nthreads)
+      in
+      check_bool
+        (Printf.sprintf "%s, %d threads: mutant diverges" name nthreads)
+        (nthreads > 1) (Result.is_error verdict))
+    diff_cases
 
 (* --- Tlb ----------------------------------------------------------------- *)
 
@@ -446,12 +763,15 @@ let suite =
     ("cache invalidate", `Quick, test_cache_invalidate);
     ("cache stats", `Quick, test_cache_stats);
     ("cache bad create", `Quick, test_cache_bad_create);
+    ("cache invalid way wins", `Quick, test_cache_invalid_way_wins);
     ("hierarchy miss/hit", `Quick, test_hierarchy_miss_then_hit);
     ("hierarchy l2 pair", `Quick, test_hierarchy_l2_shared_by_pair);
     ("hierarchy invalidation", `Quick, test_hierarchy_write_invalidates_sharers);
     ("hierarchy rmw", `Quick, test_hierarchy_rmw_premium);
     ("hierarchy local write", `Quick, test_hierarchy_local_write_is_cheap);
     ("hierarchy stats", `Quick, test_hierarchy_stats);
+    ("hierarchy = reference", `Quick, test_hierarchy_matches_reference);
+    ("hierarchy diff control", `Quick, test_hierarchy_diff_catches_store_skip);
     ("tlb hit/miss", `Quick, test_tlb_hit_miss);
     ("tlb shootdown", `Quick, test_tlb_shootdown);
     ("tlb conflict", `Quick, test_tlb_conflict);
