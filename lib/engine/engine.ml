@@ -38,9 +38,8 @@
      invalidation points enumerated in [tenure_clear]'s callers (spawn,
      reset_clocks, neutralization, plan/fusion changes, run entry) and the
      thread itself only suspends once it is no longer leader.  The
-     steady-state access check is therefore a single integer compare.
-     Fences and events always re-validate against the live heap minimum
-     (refreshing the bound on success); the per-access profiler and
+     steady-state check is therefore a single integer compare, for
+     accesses, fences and events alike; the per-access profiler and
      translation-cache checks stay dynamic.  The cost-model side effects
      happen in the identical global order, so every simulated outcome
      (clocks, cache and TLB state, stats, schedule) is byte-identical to
@@ -741,6 +740,17 @@ module Mem = struct
     && slot.accessible
     && still_leader t ~tid slot.clock
 
+  (* May [tid] commit its next request inline?  Mid-tenure, leadership is
+     proven through the bound; otherwise [revalidate] decides, and a pass
+     opens a new tenure. *)
+  let[@inline] leads t ~tid slot =
+    if slot.clock < slot.tenure_until then true
+    else if revalidate t ~tid slot then begin
+      slot.tenure_until <- tenure_bound t ~tid;
+      true
+    end
+    else false
+
   let inline_access t ~tid slot ~vpage ~paddr ~kind =
     let fs = slot.fstats in
     fs.yields <- fs.yields + 1;
@@ -770,13 +780,7 @@ module Mem = struct
     | Some t ->
         let tid = c.tid in
         let slot = Array.unsafe_get t.slots tid in
-        if slot.clock < slot.tenure_until then
-          (* mid-tenure: leadership is proven through the bound *)
-          inline_access t ~tid slot ~vpage ~paddr ~kind
-        else if revalidate t ~tid slot then begin
-          slot.tenure_until <- tenure_bound t ~tid;
-          inline_access t ~tid slot ~vpage ~paddr ~kind
-        end
+        if leads t ~tid slot then inline_access t ~tid slot ~vpage ~paddr ~kind
         else begin
           slot.req_tag <-
             (match kind with
@@ -788,9 +792,16 @@ module Mem = struct
           suspend t ~tid slot
         end
 
-  (* Fences and events always revalidate against the live heap minimum —
-     they are the tenure re-validation points — but a passing check still
-     refreshes the bound for the accesses that follow. *)
+  (* Fences and events take the same tenure check as accesses.  A tenure
+     caches a passing [revalidate], and every change to a datum it reads
+     already ends all tenures through [tenure_clear]: [inline_ok] (run
+     entry), the fault plan ([set_fault_plan]), [signal] (a Posted
+     [neutralize]), [accessible] (a Posted [revoke]; [grant_access] only
+     sets it) and the heap minimum ([spawn], [reset_clocks], and a
+     neutralization's stall pullback).  No other heap key moves while the
+     holder runs, because no other thread runs.  So [clock < tenure_until]
+     implies that [revalidate] would pass, and a fence or event inside the
+     bound commits inline without re-deriving it. *)
 
   let fence (c : ctx) kind =
     match c.eng with
@@ -798,8 +809,7 @@ module Mem = struct
     | Some t ->
         let tid = c.tid in
         let slot = t.slots.(tid) in
-        if revalidate t ~tid slot then begin
-          slot.tenure_until <- tenure_bound t ~tid;
+        if leads t ~tid slot then begin
           slot.fstats.yields <- slot.fstats.yields + 1;
           finish_inline t ~tid slot (charge_fence t kind)
         end
@@ -817,8 +827,7 @@ module Mem = struct
     | Some t ->
         let tid = c.tid in
         let slot = t.slots.(tid) in
-        if revalidate t ~tid slot then begin
-          slot.tenure_until <- tenure_bound t ~tid;
+        if leads t ~tid slot then begin
           slot.fstats.yields <- slot.fstats.yields + 1;
           finish_inline t ~tid slot (charge_event t kind)
         end

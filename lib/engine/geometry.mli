@@ -4,10 +4,10 @@
     stands for 8 bytes of the machine the paper ran on).  Virtual and
     physical addresses are word indices. *)
 
-type t = {
-  line_bits : int;  (** log2 of the cache-line size in words *)
-  page_bits : int;  (** log2 of the page size in words *)
-}
+type t
+(** The machine geometry.  It is a compile-time constant: {!default} is the
+    only value, and the accessors below compile to constant shifts and
+    masks. *)
 
 val default : t
 (** 8-word (64-byte) cache lines, 512-word (4 KiB) pages. *)

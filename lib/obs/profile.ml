@@ -114,10 +114,35 @@ let fresh_node ?parent nframe =
    (2^(b-1) - 1, 2^b - 1]; bucket 0 holds exactly 0. *)
 let nbuckets = 63
 
+(* The bucket of [v > 0] is its bit length, found by a fixed binary search
+   over the 62 value bits: six shift-and-test steps, no loop. *)
 let bucket_of v =
-  let v = max 0 v in
-  let rec go b bound = if v <= bound - 1 then b else go (b + 1) (bound * 2) in
-  go 0 1
+  if v <= 0 then 0
+  else begin
+    let x = ref v and b = ref 1 in
+    if !x lsr 32 <> 0 then begin
+      x := !x lsr 32;
+      b := !b + 32
+    end;
+    if !x lsr 16 <> 0 then begin
+      x := !x lsr 16;
+      b := !b + 16
+    end;
+    if !x lsr 8 <> 0 then begin
+      x := !x lsr 8;
+      b := !b + 8
+    end;
+    if !x lsr 4 <> 0 then begin
+      x := !x lsr 4;
+      b := !b + 4
+    end;
+    if !x lsr 2 <> 0 then begin
+      x := !x lsr 2;
+      b := !b + 2
+    end;
+    if !x lsr 1 <> 0 then b := !b + 1;
+    !b
+  end
 
 (* Shared with Timeline, so per-window histograms bucket identically. *)
 let log2_bucket = bucket_of
@@ -134,7 +159,7 @@ let fresh_hist () =
   { hbuckets = Array.make nbuckets 0; hcount = 0; hsum = 0; hmax = 0 }
 
 let hist_observe h v =
-  let b = min (nbuckets - 1) (bucket_of v) in
+  let b = Int.min (nbuckets - 1) (bucket_of v) in
   h.hbuckets.(b) <- h.hbuckets.(b) + 1;
   h.hcount <- h.hcount + 1;
   h.hsum <- h.hsum + v;
@@ -225,7 +250,7 @@ let leave t ~tid ~now =
     | [] -> ()
     | (node, entered) :: rest ->
         t.stacks.(tid) <- rest;
-        let dur = max 0 (now - entered) in
+        let dur = Int.max 0 (now - entered) in
         hist_observe t.hists.(frame_index node.nframe) dur;
         t.on_leave node.nframe ~now ~dur
 

@@ -96,7 +96,7 @@ let fresh_lhist () =
   }
 
 let lhist_observe h v =
-  let b = min (Profile.log2_nbuckets - 1) (Profile.log2_bucket v) in
+  let b = Int.min (Profile.log2_nbuckets - 1) (Profile.log2_bucket v) in
   h.lbuckets.(b) <- h.lbuckets.(b) + 1;
   h.lcount <- h.lcount + 1;
   h.lsum <- h.lsum + v;
@@ -177,7 +177,7 @@ let reset t =
 (* --- ingestion ------------------------------------------------------------ *)
 
 let window_agg t at =
-  let idx = max 0 at / t.twidth in
+  let idx = Int.max 0 at / t.twidth in
   match Hashtbl.find_opt t.windows idx with
   | Some a -> a
   | None ->
@@ -225,7 +225,7 @@ let charge_latency agg frame dur =
         agg.lats.(i) <- Some h;
         h
   in
-  lhist_observe h (max 0 dur)
+  lhist_observe h (Int.max 0 dur)
 
 let note_latency t frame ~now ~dur =
   if t.on then begin

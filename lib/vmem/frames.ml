@@ -111,7 +111,7 @@ let[@inline] word t ~frame ~off =
   assert (off >= 0 && off < Geometry.page_words t.geom);
   t.store.(frame).(off)
 
-let[@inline] paddr t ~frame ~off = (frame lsl t.geom.Geometry.page_bits) lor off
+let[@inline] paddr t ~frame ~off = Geometry.addr_of_page t.geom frame lor off
 
 let live t = t.live
 let peak t = t.peak

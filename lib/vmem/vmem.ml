@@ -45,22 +45,24 @@ type t = {
   mutable access_hook :
     (Engine.ctx -> addr:int -> kind:Engine.access_kind -> unit) option;
       (* observer for the costed word accesses (lifecycle sanitizer) *)
-  (* Per-thread last-translation cache, keyed on the page-table epoch: a
-     cached entry is valid iff no page-table entry has changed since it was
-     filled, so mapping calls and fault-in races invalidate it for free.
-     The epoch is compared on EVERY lookup, not once per scheduling slice:
-     a thread holding an engine leader tenure runs many accesses without a
-     context switch, and may itself unmap/remap a page mid-tenure — the
-     per-access epoch check makes that self-remap (and any remap a drained
-     peer performs while the holder is parked) visible on the very next
-     access, with no tenure-boundary hook needed here.
+  (* Per-thread direct-mapped translation cache: [tc_ways] entries per
+     thread, entry [tid * tc_ways + (vpage land (tc_ways - 1))].  Each entry
+     keeps the page-table epoch of its own fill and is valid iff no
+     page-table entry has changed since, so mapping calls and fault-in
+     races invalidate it for free.  The epoch is compared on EVERY lookup,
+     not once per scheduling slice: a thread holding an engine leader
+     tenure runs many accesses without a context switch, and may itself
+     unmap/remap a page mid-tenure — the per-access epoch check makes that
+     self-remap (and any remap a drained peer performs while the holder is
+     parked) visible on the very next access, with no tenure-boundary hook
+     needed here.
      [tc_fw] is -1 for a copy-on-write page: reads are served from the
      cached zero frame but writes must take the fault-in slow path. *)
   mutable tc_enabled : bool;
-  mutable tc_page : int array;  (* tid -> cached vpage, -1 empty *)
-  mutable tc_fr : int array;  (* tid -> frame for reads *)
-  mutable tc_fw : int array;  (* tid -> frame for writes, -1 = fault *)
-  mutable tc_epoch : int array;  (* tid -> page-table epoch at fill *)
+  mutable tc_page : int array;  (* entry -> cached vpage, -1 empty *)
+  mutable tc_fr : int array;  (* entry -> frame for reads *)
+  mutable tc_fw : int array;  (* entry -> frame for writes, -1 = fault *)
+  mutable tc_epoch : int array;  (* entry -> page-table epoch at fill *)
   mutable tc_hits : int;
   mutable tc_fills : int;
   (* Memoized residency census: the page-table scan behind the resident /
@@ -127,12 +129,20 @@ let translation_cache t = t.tc_enabled
 let tc_hits t = t.tc_hits
 let tc_fills t = t.tc_fills
 
+(* Entries per thread: a power of two, so the slot is a mask of the vpage. *)
+let tc_ways = 64
+
+let[@inline] tc_slot tid vpage = (tid * tc_ways) + (vpage land (tc_ways - 1))
+
+(* Empty entries carry epoch -1, which no page table ever reaches, so an
+   empty entry cannot match any vpage — negative ones included. *)
 let flush_translation_cache t =
-  Array.fill t.tc_page 0 (Array.length t.tc_page) (-1)
+  Array.fill t.tc_page 0 (Array.length t.tc_page) (-1);
+  Array.fill t.tc_epoch 0 (Array.length t.tc_epoch) (-1)
 
 let tc_grow t tid =
   let old = Array.length t.tc_page in
-  let len = max (tid + 1) (max 8 (2 * old)) in
+  let len = tc_ways * max (tid + 1) (max 8 (2 * old / tc_ways)) in
   let extend a fillv =
     let b = Array.make len fillv in
     Array.blit a 0 b 0 old;
@@ -150,11 +160,12 @@ let tc_grow t tid =
    arrival rather than poisoning later accesses. *)
 let[@inline] tc_fill t tid ~epoch ~vpage ~fr ~fw =
   if t.tc_enabled && tid >= 0 then begin
-    if tid >= Array.length t.tc_page then tc_grow t tid;
-    Array.unsafe_set t.tc_page tid vpage;
-    Array.unsafe_set t.tc_fr tid fr;
-    Array.unsafe_set t.tc_fw tid fw;
-    Array.unsafe_set t.tc_epoch tid epoch;
+    let i = tc_slot tid vpage in
+    if i >= Array.length t.tc_page then tc_grow t tid;
+    Array.unsafe_set t.tc_page i vpage;
+    Array.unsafe_set t.tc_fr i fr;
+    Array.unsafe_set t.tc_fw i fw;
+    Array.unsafe_set t.tc_epoch i epoch;
     t.tc_fills <- t.tc_fills + 1
   end
 
@@ -162,12 +173,13 @@ let[@inline] tc_fill t tid ~epoch ~vpage ~fr ~fw =
    page-table entry is unchanged since the fill, so the frame is still the
    page's backing frame and — for writes — the page needs no fault-in. *)
 let[@inline] tc_lookup t tid vpage frames_of =
+  let i = tc_slot tid vpage in
   if
     t.tc_enabled && tid >= 0
-    && tid < Array.length t.tc_page
-    && Array.unsafe_get t.tc_page tid = vpage
-    && Array.unsafe_get t.tc_epoch tid = Page_table.epoch t.pt
-  then Array.unsafe_get frames_of tid
+    && i < Array.length t.tc_page
+    && Array.unsafe_get t.tc_page i = vpage
+    && Array.unsafe_get t.tc_epoch i = Page_table.epoch t.pt
+  then Array.unsafe_get frames_of i
   else -1
 
 (* --- mapping calls ------------------------------------------------------- *)

@@ -97,10 +97,11 @@ val mapped : t -> int -> bool
 
 (** {2 Translation cache}
 
-    Each thread caches its last successful translation (vpage → backing
-    frame), keyed on the page-table epoch: any mapping call, TLB shootdown
-    path or fault-in bumps the epoch and invalidates every cached entry at
-    once.  The cache only short-circuits the page-table walk on the host —
+    Each thread caches translations (vpage → backing frame) in a
+    direct-mapped table of 64 entries indexed by [vpage land 63].  Each
+    entry keeps the page-table epoch of its fill: any mapping call, TLB
+    shootdown path or fault-in bumps the epoch and invalidates every cached
+    entry at once.  The cache only short-circuits the page-table walk on the host —
     TLB and cache-hierarchy cost accounting is unchanged, so simulated
     results are identical with the cache on or off. *)
 

@@ -215,55 +215,104 @@ let tri_modal label ~nthreads build =
   assert_sim_equal (label ^ " (run-ahead vs slow)") ~nthreads slow full;
   slow
 
+(* The scenarios below take two hooks, both no-ops for the access-only
+   tests: [sync ctx i] runs after the [i]-th access of each tenure holder
+   (the fence and pause variants issue their requests there), and
+   [note tid i] records that thread [tid] finished its [i]-th step, so a
+   variant can compare the host order in which requests commit. *)
+let no_sync _ _ = ()
+let no_note _ _ = ()
+
 (* A cheap streaming thread against an expensive rival: thread 0's clock
    repeatedly crosses its tenure bound (thread 1's suspension clock + 1),
    forcing mid-stream revalidation, parking and leadership handoff in both
    directions. *)
+let overtake_scenario ~sync ~note () =
+  let eng = Engine.create ~nthreads:2 () in
+  Engine.spawn eng ~tid:0 (fun ctx ->
+      for i = 1 to 600 do
+        Engine.Mem.access ctx ~vpage:(-1) ~paddr:8 ~kind:Engine.Load;
+        sync ctx i;
+        note 0 i
+      done);
+  Engine.spawn eng ~tid:1 (fun ctx ->
+      for i = 1 to 60 do
+        Engine.Mem.access ctx ~vpage:(-1) ~paddr:(64 * i) ~kind:Engine.Rmw;
+        note 1 i
+      done);
+  eng
+
 let test_leader_overtaken_mid_tenure () =
-  let build () =
-    let eng = Engine.create ~nthreads:2 () in
-    Engine.spawn eng ~tid:0 (fun ctx ->
-        for _ = 1 to 600 do
-          Engine.Mem.access ctx ~vpage:(-1) ~paddr:8 ~kind:Engine.Load
-        done);
-    Engine.spawn eng ~tid:1 (fun ctx ->
-        for i = 1 to 60 do
-          Engine.Mem.access ctx ~vpage:(-1) ~paddr:(64 * i) ~kind:Engine.Rmw
-        done);
-    eng
-  in
-  ignore (tri_modal "overtake" ~nthreads:2 build)
+  ignore
+    (tri_modal "overtake" ~nthreads:2
+       (overtake_scenario ~sync:no_sync ~note:no_note))
 
 (* A neutralization posted against a tenure-holding victim: the Posted
    branch may pull the victim's clock back, so every live tenure bound is
    stale and must be dropped.  Thread 2 is a cheap bystander whose tenures
    span the post. *)
+let neutralize_scenario ~sync ~note () =
+  let eng = Engine.create ~nthreads:3 () in
+  Engine.spawn eng ~tid:0 (fun ctx ->
+      let n = ref 0 in
+      Engine.Mem.checkpoint ctx
+        ~recover:(fun () -> ())
+        (fun () ->
+          while !n < 2_000 do
+            incr n;
+            Engine.Mem.access ctx ~vpage:(-1) ~paddr:16 ~kind:Engine.Load;
+            sync ctx !n;
+            note 0 !n
+          done));
+  Engine.spawn eng ~tid:1 (fun ctx ->
+      for i = 1 to 40 do
+        Engine.Mem.access ctx ~vpage:(-1) ~paddr:(64 * i) ~kind:Engine.Rmw;
+        if i = 3 then
+          check_bool "signal posted" true
+            (Engine.Mem.neutralize ctx ~victim:0 = Engine.Posted);
+        note 1 i
+      done);
+  Engine.spawn eng ~tid:2 (fun ctx ->
+      for i = 1 to 2_000 do
+        Engine.Mem.access ctx ~vpage:(-1) ~paddr:24 ~kind:Engine.Load;
+        sync ctx i;
+        note 2 i
+      done);
+  eng
+
+(* A signal a tenure holder posts to itself: thread 1's head start gives
+   thread 0 a long tenure, and the post lands in the middle of it.  The
+   holder's own next yield must stop fusing and deliver the signal, as the
+   scheduler would at that yield. *)
+let self_neutralize_scenario ~sync ~note () =
+  let eng = Engine.create ~nthreads:2 () in
+  Engine.spawn eng ~tid:0 (fun ctx ->
+      let n = ref 0 in
+      Engine.Mem.checkpoint ctx
+        ~recover:(fun () -> ())
+        (fun () ->
+          while !n < 400 do
+            incr n;
+            Engine.Mem.access ctx ~vpage:(-1) ~paddr:16 ~kind:Engine.Load;
+            if !n = 200 then
+              check_bool "self-signal posted" true
+                (Engine.Mem.neutralize ctx ~victim:0 = Engine.Posted);
+            sync ctx !n;
+            note 0 !n
+          done));
+  Engine.spawn eng ~tid:1 (fun ctx ->
+      Engine.Mem.charge ctx 1_000_000;
+      for i = 1 to 10 do
+        Engine.Mem.access ctx ~vpage:(-1) ~paddr:(64 * i) ~kind:Engine.Rmw;
+        note 1 i
+      done);
+  eng
+
 let test_neutralize_breaks_tenure () =
-  let build () =
-    let eng = Engine.create ~nthreads:3 () in
-    Engine.spawn eng ~tid:0 (fun ctx ->
-        let n = ref 0 in
-        Engine.Mem.checkpoint ctx
-          ~recover:(fun () -> ())
-          (fun () ->
-            while !n < 2_000 do
-              incr n;
-              Engine.Mem.access ctx ~vpage:(-1) ~paddr:16 ~kind:Engine.Load
-            done));
-    Engine.spawn eng ~tid:1 (fun ctx ->
-        for i = 1 to 40 do
-          Engine.Mem.access ctx ~vpage:(-1) ~paddr:(64 * i) ~kind:Engine.Rmw;
-          if i = 3 then
-            check_bool "signal posted" true
-              (Engine.Mem.neutralize ctx ~victim:0 = Engine.Posted)
-        done);
-    Engine.spawn eng ~tid:2 (fun ctx ->
-        for _ = 1 to 2_000 do
-          Engine.Mem.access ctx ~vpage:(-1) ~paddr:24 ~kind:Engine.Load
-        done);
-    eng
+  let slow =
+    tri_modal "neutralize" ~nthreads:3
+      (neutralize_scenario ~sync:no_sync ~note:no_note)
   in
-  let slow = tri_modal "neutralize" ~nthreads:3 build in
   check_int "victim was neutralized once" 1
     (Engine.fault_stats slow ~tid:0).Engine.neutralized
 
@@ -274,79 +323,149 @@ let test_neutralize_breaks_tenure () =
    victim inlining against a stale bound would commit unsquashed stores the
    slow path squashes.  Thread 2 is a cheap bystander whose tenures span
    the post. *)
+let revoke_scenario ~sync ~note () =
+  let eng = Engine.create ~nthreads:3 () in
+  Engine.spawn eng ~tid:0 (fun ctx ->
+      for i = 1 to 2_000 do
+        Engine.Mem.access ctx ~vpage:(-1) ~paddr:16 ~kind:Engine.Store;
+        sync ctx i;
+        note 0 i
+      done;
+      check_bool "victim's flag stays revoked" true
+        (Engine.Mem.access_revoked ctx ~tid:0));
+  Engine.spawn eng ~tid:1 (fun ctx ->
+      for i = 1 to 40 do
+        Engine.Mem.access ctx ~vpage:(-1) ~paddr:(64 * i) ~kind:Engine.Rmw;
+        if i = 3 then
+          check_bool "revocation posted" true
+            (Engine.Mem.revoke ctx ~victim:0 = Engine.Posted);
+        note 1 i
+      done);
+  Engine.spawn eng ~tid:2 (fun ctx ->
+      for i = 1 to 2_000 do
+        Engine.Mem.access ctx ~vpage:(-1) ~paddr:24 ~kind:Engine.Load;
+        sync ctx i;
+        note 2 i
+      done);
+  eng
+
 let test_revoke_breaks_tenure () =
-  let build () =
-    let eng = Engine.create ~nthreads:3 () in
-    Engine.spawn eng ~tid:0 (fun ctx ->
-        for _ = 1 to 2_000 do
-          Engine.Mem.access ctx ~vpage:(-1) ~paddr:16 ~kind:Engine.Store
-        done;
-        check_bool "victim's flag stays revoked" true
-          (Engine.Mem.access_revoked ctx ~tid:0));
-    Engine.spawn eng ~tid:1 (fun ctx ->
-        for i = 1 to 40 do
-          Engine.Mem.access ctx ~vpage:(-1) ~paddr:(64 * i) ~kind:Engine.Rmw;
-          if i = 3 then
-            check_bool "revocation posted" true
-              (Engine.Mem.revoke ctx ~victim:0 = Engine.Posted)
-        done);
-    Engine.spawn eng ~tid:2 (fun ctx ->
-        for _ = 1 to 2_000 do
-          Engine.Mem.access ctx ~vpage:(-1) ~paddr:24 ~kind:Engine.Load
-        done);
-    eng
-  in
-  ignore (tri_modal "revoke" ~nthreads:3 build)
+  ignore
+    (tri_modal "revoke" ~nthreads:3
+       (revoke_scenario ~sync:no_sync ~note:no_note))
 
 (* reset_clocks issued from inside a running thread, mid-tenure: bounds are
    absolute clock values, so a reset that zeroes the clocks but kept the
    bounds would leave thread 0 inlining against a stale future bound while
    every heap key restarts from zero. *)
+let reset_scenario ~sync ~note () =
+  let eng = Engine.create ~nthreads:2 () in
+  Engine.spawn eng ~tid:0 (fun ctx ->
+      for i = 1 to 300 do
+        Engine.Mem.access ctx ~vpage:(-1) ~paddr:8 ~kind:Engine.Load;
+        if i = 150 then Engine.reset_clocks eng;
+        sync ctx i;
+        note 0 i
+      done);
+  Engine.spawn eng ~tid:1 (fun ctx ->
+      for i = 1 to 30 do
+        Engine.Mem.access ctx ~vpage:(-1) ~paddr:(64 * i) ~kind:Engine.Rmw;
+        note 1 i
+      done);
+  eng
+
 let test_reset_clocks_mid_tenure () =
-  let build () =
-    let eng = Engine.create ~nthreads:2 () in
-    Engine.spawn eng ~tid:0 (fun ctx ->
-        for i = 1 to 300 do
-          Engine.Mem.access ctx ~vpage:(-1) ~paddr:8 ~kind:Engine.Load;
-          if i = 150 then Engine.reset_clocks eng
-        done);
-    Engine.spawn eng ~tid:1 (fun ctx ->
-        for i = 1 to 30 do
-          Engine.Mem.access ctx ~vpage:(-1) ~paddr:(64 * i) ~kind:Engine.Rmw
-        done);
-    eng
-  in
-  ignore (tri_modal "reset mid-tenure" ~nthreads:2 build)
+  ignore
+    (tri_modal "reset mid-tenure" ~nthreads:2
+       (reset_scenario ~sync:no_sync ~note:no_note))
 
 (* A fault plan installed mid-run while the fused engine is deep in a
    tenure (and, under run-ahead, while a thread is parked): the flip must
    tear down the tenure and the parked thread must fall back to the
    scheduler without its bail counting as an extra yield, so the stall
    lands on exactly the same yield as on the slow path. *)
+let plan_flip_scenario ~sync ~note () =
+  let eng = Engine.create ~nthreads:2 () in
+  Engine.spawn eng ~tid:0 (fun ctx ->
+      for i = 1 to 6_000 do
+        Engine.Mem.access ctx ~vpage:(-1) ~paddr:8 ~kind:Engine.Load;
+        sync ctx i;
+        note 0 i
+      done);
+  Engine.spawn eng ~tid:1 (fun ctx ->
+      for i = 1 to 40 do
+        Engine.Mem.access ctx ~vpage:(-1) ~paddr:(64 * i) ~kind:Engine.Rmw;
+        if i = 2 then
+          Engine.set_fault_plan eng
+            (Fault_plan.make
+               [
+                 Fault_plan.Stall { tid = 0; at_yield = 4_000; cycles = 9_000 };
+               ]);
+        note 1 i
+      done);
+  eng
+
 let test_plan_flip_mid_tenure () =
-  let build () =
-    let eng = Engine.create ~nthreads:2 () in
-    Engine.spawn eng ~tid:0 (fun ctx ->
-        for _ = 1 to 6_000 do
-          Engine.Mem.access ctx ~vpage:(-1) ~paddr:8 ~kind:Engine.Load
-        done);
-    Engine.spawn eng ~tid:1 (fun ctx ->
-        for i = 1 to 40 do
-          Engine.Mem.access ctx ~vpage:(-1) ~paddr:(64 * i) ~kind:Engine.Rmw;
-          if i = 2 then
-            Engine.set_fault_plan eng
-              (Fault_plan.make
-                 [
-                   Fault_plan.Stall
-                     { tid = 0; at_yield = 4_000; cycles = 9_000 };
-                 ])
-        done);
-    eng
+  let slow =
+    tri_modal "plan flip" ~nthreads:2
+      (plan_flip_scenario ~sync:no_sync ~note:no_note)
   in
-  let slow = tri_modal "plan flip" ~nthreads:2 build in
   let fs = Engine.fault_stats slow ~tid:0 in
   check_int "stall fired after the flip" 1 fs.Engine.stalls_injected;
   check_int "stall cycles charged" 9_000 fs.Engine.stall_cycles
+
+(* Fences and pauses inside a tenure.  They commit inline through the same
+   [clock < tenure_until] check as accesses, so every tenure break above
+   must also stop them: each scenario reruns with the tenure holders
+   issuing a rotation of full fences, compiler fences and pauses after
+   their accesses — runs of several back to back, so a fence can be the
+   request that carries the clock across the bound.  Beyond the engine
+   state, the three modes must agree on the host order in which every
+   thread's requests complete: a fence committed inline past its bound
+   leaves clocks and caches intact but runs the holder's code ahead of the
+   threads the scheduler would have run first. *)
+let fence_sync ctx i =
+  match i mod 4 with
+  | 0 -> Engine.Mem.fence ctx Engine.Full
+  | 1 -> Engine.Mem.fence ctx Engine.Compiler
+  | 2 -> Engine.Mem.pause ctx
+  | _ ->
+      Engine.Mem.fence ctx Engine.Full;
+      Engine.Mem.pause ctx;
+      Engine.Mem.fence ctx Engine.Compiler
+
+let test_fences_and_pauses_mid_tenure () =
+  let under label ~nthreads scenario =
+    let logs = ref [] in
+    let build () =
+      let log = ref [] in
+      logs := log :: !logs;
+      scenario ~sync:fence_sync ~note:(fun tid i -> log := (tid, i) :: !log) ()
+    in
+    let slow = tri_modal label ~nthreads build in
+    (match List.rev_map (fun l -> List.rev !l) !logs with
+    | [ slow_order; tenure_order; full_order ] ->
+        check_bool (label ^ ": tenure-only commit order = slow") true
+          (tenure_order = slow_order);
+        check_bool (label ^ ": run-ahead commit order = slow") true
+          (full_order = slow_order)
+    | _ -> Alcotest.fail "expected one log per mode");
+    slow
+  in
+  ignore (under "overtake + fences" ~nthreads:2 overtake_scenario);
+  let slow = under "neutralize + fences" ~nthreads:3 neutralize_scenario in
+  check_int "victim was neutralized once" 1
+    (Engine.fault_stats slow ~tid:0).Engine.neutralized;
+  let slow =
+    under "self-neutralize + fences" ~nthreads:2 self_neutralize_scenario
+  in
+  check_int "self-signal was delivered" 1
+    (Engine.fault_stats slow ~tid:0).Engine.neutralized;
+  ignore (under "revoke + fences" ~nthreads:3 revoke_scenario);
+  ignore (under "reset + fences" ~nthreads:2 reset_scenario);
+  let slow = under "plan flip + fences" ~nthreads:2 plan_flip_scenario in
+  check_int "stall fired after the flip" 1
+    (Engine.fault_stats slow ~tid:0).Engine.stalls_injected
 
 (* --- measurement reset ----------------------------------------------------- *)
 
@@ -439,6 +558,84 @@ let test_tc_epoch_bump_mid_tenure () =
   check_int "clock identical" sclock fclock;
   check_int "steps identical" ssteps fsteps
 
+(* The translation cache is direct-mapped on [vpage land 63]: pages [v] and
+   [v + 64] share an entry, so alternating loads evict each other — every
+   load refills, and each must still read its own page.  Pages [v] and
+   [v + 1] sit in different entries: one fill each, then every load hits. *)
+let test_tc_conflicting_pages () =
+  let geom = Geometry.default in
+  let vm = Vmem.create ~max_pages:256 geom in
+  let ctx = Engine.external_ctx () in
+  let base = Vmem.reserve vm ~npages:65 in
+  let v = Geometry.page_of_addr geom base in
+  Vmem.map_anon vm ctx ~vpage:v ~npages:65;
+  let addr p = Geometry.addr_of_page geom p in
+  List.iter
+    (fun (p, x) -> Vmem.poke vm (addr p) x)
+    [ (v, 11); (v + 1, 22); (v + 64, 33) ];
+  let alternate (pa, xa) (pb, xb) n =
+    let hits = Vmem.tc_hits vm and fills = Vmem.tc_fills vm in
+    for i = 1 to n do
+      let p, x = if i land 1 = 1 then (pa, xa) else (pb, xb) in
+      check_int (Printf.sprintf "load %d reads page %d's own word" i p) x
+        (Vmem.load vm ctx (addr p))
+    done;
+    (Vmem.tc_hits vm - hits, Vmem.tc_fills vm - fills)
+  in
+  let hits, fills = alternate (v, 11) (v + 64, 33) 20 in
+  check_int "pages v and v + 64 never hit" 0 hits;
+  check_int "every load of v / v + 64 refills" 20 fills;
+  let hits, fills = alternate (v, 11) (v + 1, 22) 20 in
+  check_int "pages v and v + 1 fill once each" 2 fills;
+  check_int "then every load hits" 18 hits
+
+(* A peer remaps a page whose entry is not the last one filled.  The holder
+   streams loads of pages A then B (so B is always the newest entry) under
+   leader tenures; the peer's madvise lands between two of them — under
+   run-ahead, inside the holder's own drain.  The page-table epoch bump
+   must retire A's older entry too: the holder's next load of A reads the
+   fresh zero page, exactly as on the slow path without a cache. *)
+let test_tc_peer_remap_of_older_entry () =
+  let run ~fused =
+    let geom = Geometry.default in
+    let vm = Vmem.create ~max_pages:64 geom in
+    let eng = Engine.create ~nthreads:2 () in
+    Engine.set_fused eng fused;
+    Vmem.set_translation_cache vm fused;
+    let a = Vmem.reserve vm ~npages:2 in
+    let b = a + Geometry.page_words geom in
+    let va = Geometry.page_of_addr geom a in
+    Vmem.map_anon vm (Engine.external_ctx ()) ~vpage:va ~npages:2;
+    Vmem.poke vm a 1;
+    Vmem.poke vm b 2;
+    let seen = ref [] in
+    Engine.spawn eng ~tid:0 (fun ctx ->
+        for _ = 1 to 4_000 do
+          let x = Vmem.load vm ctx a in
+          let y = Vmem.load vm ctx b in
+          seen := (x, y) :: !seen
+        done);
+    Engine.spawn eng ~tid:1 (fun ctx ->
+        Engine.Mem.charge ctx 2_000;
+        Vmem.madvise_dontneed vm ctx ~vpage:va ~npages:1);
+    Engine.run eng;
+    (List.rev !seen, Vmem.tc_hits vm, Engine.clock eng ~tid:0, Engine.steps eng)
+  in
+  let fseen, fhits, fclock, fsteps = run ~fused:true in
+  let sseen, _, sclock, ssteps = run ~fused:false in
+  check_bool "the holder's loads hit the translation cache" true (fhits > 0);
+  let before = List.filter (fun (x, _) -> x = 1) fseen
+  and after = List.filter (fun (x, _) -> x = 0) fseen in
+  check_bool "A reads its old frame before the remap" true (before <> []);
+  check_bool "A reads the zero page after the remap" true (after <> []);
+  check_bool "A never reads the old frame again" true
+    (fseen = before @ after);
+  check_bool "B keeps its frame throughout" true
+    (List.for_all (fun (_, y) -> y = 2) fseen);
+  check_bool "loaded values identical" true (fseen = sseen);
+  check_int "clock identical" sclock fclock;
+  check_int "steps identical" ssteps fsteps
+
 let test_reset_measurement_flushes_translation_cache () =
   let sys =
     System.create
@@ -518,6 +715,43 @@ let test_finite_tenure_inline_allocates_nothing () =
        !words)
     true (!words = 0.0)
 
+(* The store, CAS and fence hit paths stay allocation-free under a finite
+   tenure, set up as in [test_finite_tenure_inline_allocates_nothing]: the
+   first two requests park thread 0 once, after which thread 1's head
+   start gives it a long bounded tenure. *)
+let test_store_cas_fence_allocate_nothing () =
+  let vm = Vmem.create ~max_pages:64 Geometry.default in
+  let eng = Engine.create ~nthreads:2 () in
+  let words = ref [] in
+  let measure label f =
+    let before = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      f ()
+    done;
+    words := (label, Gc.minor_words () -. before) :: !words
+  in
+  Engine.spawn eng ~tid:0 (fun ctx ->
+      let addr = mapped_addr vm ctx in
+      Vmem.store vm ctx addr 1;
+      ignore (Vmem.cas vm ctx addr ~expect:1 ~desired:1);
+      Engine.Mem.fence ctx Engine.Full;
+      measure "Vmem.store" (fun () -> Vmem.store vm ctx addr 1);
+      measure "Vmem.cas" (fun () ->
+          ignore (Vmem.cas vm ctx addr ~expect:1 ~desired:1));
+      measure "Mem.fence" (fun () -> Engine.Mem.fence ctx Engine.Full));
+  Engine.spawn eng ~tid:1 (fun ctx ->
+      Engine.Mem.charge ctx 10_000_000;
+      Engine.Mem.access ctx ~vpage:0 ~paddr:7 ~kind:Engine.Load);
+  Engine.run eng;
+  check_int "three paths measured" 3 (List.length !words);
+  List.iter
+    (fun (label, w) ->
+      check_bool
+        (Printf.sprintf "%s under a tenure allocates nothing (%.0f words)"
+           label w)
+        true (w = 0.0))
+    !words
+
 let test_vmem_hit_path_allocates_nothing () =
   let vm = Vmem.create ~max_pages:64 Geometry.default in
   let eng = Engine.create ~nthreads:1 () in
@@ -567,6 +801,10 @@ let () =
             test_tc_epoch_bump_mid_tenure;
           Alcotest.test_case "finite-tenure inline allocates nothing" `Quick
             test_finite_tenure_inline_allocates_nothing;
+          Alcotest.test_case "fences and pauses across tenure breaks" `Quick
+            test_fences_and_pauses_mid_tenure;
+          Alcotest.test_case "translation cache: peer remaps an older entry"
+            `Quick test_tc_peer_remap_of_older_entry;
         ] );
       ( "reset",
         [
@@ -574,6 +812,8 @@ let () =
             test_reset_clocks_rebuilds_heap;
           Alcotest.test_case "flush forces refill" `Quick
             test_flush_forces_refill;
+          Alcotest.test_case "translation cache: conflicting pages" `Quick
+            test_tc_conflicting_pages;
           Alcotest.test_case "reset_measurement flushes the cache" `Quick
             test_reset_measurement_flushes_translation_cache;
         ] );
@@ -583,5 +823,7 @@ let () =
             test_fused_access_allocates_nothing;
           Alcotest.test_case "vmem hit path allocates nothing" `Quick
             test_vmem_hit_path_allocates_nothing;
+          Alcotest.test_case "store, cas and fence allocate nothing" `Quick
+            test_store_cas_fence_allocate_nothing;
         ] );
     ]

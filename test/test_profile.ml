@@ -61,6 +61,30 @@ let test_percentile_outlier () =
   check_int "p100 is exact max" 1000 (Profile.percentile l 1.0);
   check_int "max" 1000 l.Profile.max_cycles
 
+(* [log2_bucket] against its definition — bucket [b] holds
+   [(2^(b-1) - 1, 2^b - 1]], bucket 0 holds 0 and every negative value —
+   at each power-of-two edge of the 63-bit int range. *)
+let test_bucket_of_edges () =
+  let b v = Profile.log2_bucket v in
+  check_int "0" 0 (b 0);
+  check_int "1" 1 (b 1);
+  check_int "2" 2 (b 2);
+  check_int "3" 2 (b 3);
+  for k = 1 to 62 do
+    check_int (Printf.sprintf "2^%d - 1" k) k (b ((1 lsl k) - 1))
+  done;
+  for k = 0 to 61 do
+    check_int (Printf.sprintf "2^%d" k) (k + 1) (b (1 lsl k))
+  done;
+  (* 2^62 wraps to min_int *)
+  check_int "2^62 = min_int" 0 (b (1 lsl 62));
+  List.iter
+    (fun v -> check_int (Printf.sprintf "%d" v) 0 (b v))
+    [ -1; -2; -1024; min_int ];
+  check_int "max_int" 62 (b max_int);
+  check_bool "every bucket fits the histogram" true
+    (b max_int < Profile.log2_nbuckets)
+
 let test_percentile_buckets () =
   let p = Profile.create ~nthreads:1 () in
   Profile.set_enabled p true;
@@ -448,6 +472,8 @@ let () =
             test_percentile_outlier;
           Alcotest.test_case "log2 bucket boundaries" `Quick
             test_percentile_buckets;
+          Alcotest.test_case "log2 bucket edges over the int range" `Quick
+            test_bucket_of_edges;
           Alcotest.test_case "interpolation inside wide buckets" `Quick
             test_percentile_interpolation;
           Alcotest.test_case "single-observation buckets snap" `Quick
