@@ -1,10 +1,12 @@
-.PHONY: all build test check clean repro quick sweep bench bench-service metrics fuzz profile perfgate perfgate-service fault-matrix
+.PHONY: all build test check clean repro quick sweep bench fuzz profile fault-matrix
 
 all: build
 
 build:
 	dune build
 
+# Also regenerates BENCH_E1.json and BENCH_SERVICE.json and diffs them
+# against the committed files; `dune promote` accepts an intended change.
 test:
 	dune runtest
 
@@ -35,48 +37,12 @@ sweep:
 bench:
 	bash perfbench/run.sh --workload all
 
-# Service-scenario SLA baseline (E14): the four-phase Zipfian store per
-# scheme, with per-phase op p99 and peak unreclaimed embedded as a
-# "phases" array — what perfgate's phase_p99 / phase_unreclaimed
-# dimensions gate against.  `dune runtest` regenerates and diffs it too.
-bench-service:
-	dune exec bench/main.exe -- --service --out BENCH_SERVICE.json
-
-# Machine-readable metrics baseline: a small E1-style sweep with the full
-# metrics snapshot and cycle-attribution profile per run.  CI archives the
-# JSON as an artifact; it is also the committed perf-regression baseline,
-# which `dune runtest` regenerates and diffs (`dune promote` refreshes it).
-metrics:
-	dune exec bench/main.exe -- --profile --out BENCH_E1.json
-
 # Cycle-attribution profile of a fixed-seed E1-style run: span breakdown,
 # per-op latency percentiles and contention hot spots on stdout, plus
 # profile.json (rerun later with `repro profile --diff profile.json`) and
 # profile.folded (flamegraph.pl / speedscope input).
 profile:
 	dune exec bin/repro.exe -- profile --out profile.json --folded profile.folded
-
-# Perf-regression gate: rerun the profiled sweep and compare throughput and
-# per-op p99 latency against the committed BENCH_E1.json baseline.  The
-# relative leg additionally requires DEBRA's no-fault throughput to stay
-# within the drop threshold of EBR's inside the fresh run itself.  The
-# second invocation tracks IMR against OA-BIT warn-only: IMR's
-# revoke-broadcast pricing is expected to trail OA-BIT on contended
-# workloads, so the ratio is observability, never a failure.
-perfgate:
-	dune exec bench/main.exe -- --profile --out BENCH_E1.current.json
-	dune exec bin/perfgate.exe -- BENCH_E1.json BENCH_E1.current.json \
-	  --relative debra:ebr
-	dune exec bin/perfgate.exe -- BENCH_E1.json BENCH_E1.current.json \
-	  --warn-only --relative imr:oa-bit
-
-# Phase-scoped SLA gate (nightly): rerun the service scenario and compare
-# per-phase op p99 and peak unreclaimed against the committed
-# BENCH_SERVICE.json.  Both dimensions are simulated and deterministic, so
-# they gate hard.
-perfgate-service:
-	dune exec bench/main.exe -- --service --out BENCH_SERVICE.current.json
-	dune exec bin/perfgate.exe -- BENCH_SERVICE.json BENCH_SERVICE.current.json
 
 # Nightly fault matrix: E13 across every scheme x {no-fault, stall, crash}
 # with the lifecycle sanitizer on; per-leg garbage curves land in

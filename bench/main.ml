@@ -1,12 +1,12 @@
-(* Simulated-baseline dumps: the committed BENCH_*.json documents that
-   `bin/perfgate` gates against.
+(* Simulated-baseline dumps: the committed BENCH_*.json documents.
 
      bench --profile [--out PATH]   small E1-style sweep  -> BENCH_E1.json
      bench --service [--out PATH]   E14 service scenario  -> BENCH_SERVICE.json
 
    Both documents hold simulated numbers only, so they are byte-identical
    for a given tree: `dune runtest` regenerates them and diffs them against
-   the committed files (`dune promote` refreshes them).  Host time — how
+   the committed files (`dune build @bench/runtest && dune promote`
+   refreshes them), so any changed number fails the tests.  Host time — how
    fast the simulator runs — is measured by perfbench/ alone; the paper
    reproduction itself is `bin/repro all`. *)
 
@@ -25,13 +25,11 @@ let write_doc ~out doc =
 (* `bench --profile` runs a small E1-style sweep (hash set, update-only) with
    the cycle-attribution profiler on and writes one JSON document per run:
    the full metrics snapshot and the profile (spans, op latencies, hot
-   addresses), which is what `bin/perfgate` gates throughput and p99
-   latency on. *)
+   addresses). *)
 
 let run_metrics_dump ~out =
-  (* the paper's four methods, the epoch pair the relative gate compares
-     (DEBRA's no-fault throughput must track EBR's), and IMR for the
-     warn-only imr:oa-bit gate *)
+  (* the paper's four methods, the epoch pair test_harness compares
+     (DEBRA's no-fault throughput must track EBR's), and IMR *)
   let schemes =
     Oamem_reclaim.Registry.paper_methods @ [ "ebr"; "debra"; "imr" ]
   in
@@ -79,10 +77,10 @@ let run_metrics_dump ~out =
 
 (* `bench --service` runs the E14 service scenario (Zipfian session store,
    four scripted phases ending in a memory-pressure wave) once per scheme
-   and writes a perfgate-compatible document whose results additionally
-   embed a "phases" array: per-phase op p99 and peak unreclaimed nodes.
-   Perfgate gates those as the phase_p99 / phase_unreclaimed dimensions —
-   the SLA view a whole-run p99 can hide (see EXPERIMENTS.md E14). *)
+   and writes a document in the same results shape whose entries
+   additionally embed a "phases" array: per-phase op p99 and peak
+   unreclaimed nodes — the SLA view a whole-run p99 can hide (see
+   EXPERIMENTS.md E14). *)
 
 let run_service_dump ~out =
   let schemes = Oamem_reclaim.Registry.names in

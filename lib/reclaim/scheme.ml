@@ -31,6 +31,7 @@ exception Restart
 type stats = {
   mutable retired : int;
   mutable freed : int;
+  mutable garbage : int;  (** level: retired - freed since creation *)
   mutable restarts : int;
   mutable warnings_fired : int;  (** warning-bit broadcasts / clock bumps *)
   mutable warnings_piggybacked : int;  (** OA-VER: reclaims without a bump *)
@@ -44,6 +45,7 @@ let fresh_stats () =
   {
     retired = 0;
     freed = 0;
+    garbage = 0;
     restarts = 0;
     warnings_fired = 0;
     warnings_piggybacked = 0;
@@ -53,8 +55,11 @@ let fresh_stats () =
     cond_fails = 0;
   }
 
-(* Retired-but-unreclaimed nodes: the garbage a stalled thread can pin. *)
-let unreclaimed s = s.retired - s.freed
+(* Retired-but-unreclaimed nodes: the garbage a stalled thread can pin.  A
+   level, not [retired - freed]: those counters restart at the measurement
+   reset, and garbage retired before it but freed after it would drive
+   their difference negative. *)
+let unreclaimed s = s.garbage
 
 (* Unreclaimed nodes no live thread can free.  A node seized from a dead
    thread's bag is still unreclaimed (seizure unpins, it does not free) but
@@ -95,15 +100,21 @@ let emit sink ctx kind =
     Trace.emit sink.trace ~tid:(Engine.Mem.tid ctx) ~at:(Engine.Mem.now ctx) kind
 
 let note_retired sink ctx addr =
-  sink.stats.retired <- sink.stats.retired + 1;
+  let s = sink.stats in
+  s.retired <- s.retired + 1;
+  s.garbage <- s.garbage + 1;
   emit sink ctx (Trace.Retire { addr })
 
 (* Frees outside a reclaim phase (immediate frees, teardown flushes). *)
-let note_freed sink n = sink.stats.freed <- sink.stats.freed + n
+let note_freed sink n =
+  let s = sink.stats in
+  s.freed <- s.freed + n;
+  s.garbage <- s.garbage - n
 
 let note_reclaim_phase sink ctx ~freed =
   let s = sink.stats in
   s.freed <- s.freed + freed;
+  s.garbage <- s.garbage - freed;
   s.reclaim_phases <- s.reclaim_phases + 1;
   (match sink.reclaim_hist with
   | Some h -> Metrics.observe h freed

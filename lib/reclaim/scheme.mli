@@ -12,9 +12,14 @@ module Metrics = Oamem_obs.Metrics
 
 exception Restart
 
+(** Every field but [garbage] counts within the measurement window:
+    {!reset_stats} zeroes it. *)
 type stats = {
   mutable retired : int;
   mutable freed : int;
+  mutable garbage : int;
+      (** retired minus freed nodes since the scheme was created: a level
+          that {!reset_stats} leaves alone *)
   mutable restarts : int;  (** operation restarts (all causes) *)
   mutable warnings_fired : int;  (** warning-bit sets / clock bumps *)
   mutable warnings_piggybacked : int;  (** OA-VER reclaims without a bump *)
@@ -33,8 +38,9 @@ val reset_stats : stats -> unit
 val pp_stats : Format.formatter -> stats -> unit
 
 val unreclaimed : stats -> int
-(** [retired - freed]: nodes sitting in limbo lists / retirement pools —
-    the garbage a stalled or crashed thread can pin (robustness metric). *)
+(** [garbage]: nodes sitting in limbo lists / retirement pools — the
+    garbage a stalled or crashed thread can pin (robustness metric).  A
+    measurement reset leaves it alone, so it cannot drive it negative. *)
 
 val pinned : stats -> int
 (** Unreclaimed nodes no live thread can free: {!unreclaimed} minus the

@@ -251,6 +251,69 @@ let test_config_builder () =
   check_bool "rest defaulted" true
     (c.Experiments.threads = Experiments.default_config.Experiments.threads)
 
+(* --- DEBRA tracks EBR in the committed baseline ------------------------------ *)
+
+module Json = Oamem_obs.Json
+
+(* DEBRA is EBR with batched announcements and neutralization, and its
+   no-fault throughput must stay within 10% of EBR's.  Returns each thread
+   count of a BENCH_E1.json-shaped document where EBR has a result and
+   DEBRA has none or falls below 0.90x of it. *)
+let debra_lags_ebr doc =
+  let rows =
+    List.map
+      (fun r ->
+        Json.
+          ( to_str (member "scheme" r),
+            to_int (member "threads" r),
+            to_float (member "throughput_mops" r) ))
+      Json.(to_list (member "results" doc))
+  in
+  List.filter_map
+    (fun (scheme, t, ebr) ->
+      if scheme <> "ebr" then None
+      else
+        match List.find_opt (fun (s, t', _) -> s = "debra" && t' = t) rows with
+        | Some (_, _, debra) when debra >= 0.90 *. ebr -> None
+        | _ -> Some t)
+    rows
+
+(* The committed file, which the bench/ runtest diff pins to a fresh run;
+   the path is relative to _build/default/test, where dune runs tests. *)
+let test_debra_tracks_ebr () =
+  let doc =
+    Json.parse (In_channel.with_open_text "../BENCH_E1.json" In_channel.input_all)
+  in
+  let rows = Json.(to_list (member "results" doc)) in
+  let scheme r = Json.(to_str (member "scheme" r)) in
+  let ebr_rows = List.filter (fun r -> scheme r = "ebr") rows in
+  check_bool "baseline has EBR results" true (ebr_rows <> []);
+  check_bool "debra >= 0.90x ebr at every thread count" true
+    (debra_lags_ebr doc = []);
+  (* positive controls: DEBRA at 0.85x EBR, and DEBRA's rows removed *)
+  let with_rows rows = Json.Obj [ ("results", Json.List rows) ] in
+  let slowed =
+    List.concat_map
+      (fun e ->
+        let debra =
+          Json.Obj
+            [
+              ("scheme", Json.String "debra");
+              ("threads", Json.member "threads" e);
+              ( "throughput_mops",
+                Json.Float (0.85 *. Json.(to_float (member "throughput_mops" e)))
+              );
+            ]
+        in
+        [ e; debra ])
+      ebr_rows
+  in
+  check_bool "debra at 0.85x ebr fails" true
+    (debra_lags_ebr (with_rows slowed) <> []);
+  check_bool "missing debra rows fail" true
+    (debra_lags_ebr (with_rows (List.filter (fun r -> scheme r <> "debra") rows))
+    <> [])
+
 let suite =
   [
     ("mix validation", `Quick, test_mix_validation);
@@ -271,6 +334,7 @@ let suite =
     ("experiments registry", `Quick, test_experiments_registry);
     ("small experiment runs", `Quick, test_small_experiment_runs);
     ("config builder", `Quick, test_config_builder);
+    ("debra tracks ebr in BENCH_E1.json", `Quick, test_debra_tracks_ebr);
   ]
 
 let () = Alcotest.run "harness" [ ("harness", suite) ]

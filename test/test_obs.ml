@@ -255,6 +255,65 @@ let test_reset_measurement_zeroes_snapshot () =
   (* gauges (instantaneous state) are deliberately untouched *)
   check_bool "frames still live" true (Metrics.find s "vmem.frames_live" > 0)
 
+(* The unreclaimed gauge is a level: EBR garbage retired before a
+   measurement reset and freed after it must not drive it negative.  Both
+   churn rounds run on four threads and sample the gauge after every
+   operation; the reset lands between them, with limbo non-empty. *)
+let test_unreclaimed_survives_reset () =
+  let sys = mk "ebr" in
+  let ss = (System.scheme sys).Scheme.stats in
+  let h = ref None in
+  System.run_on_thread0 sys (fun ctx ->
+      let s = System.hash_set sys ctx ~expected_size:64 in
+      for k = 0 to 63 do
+        ignore (Michael_hash.insert s ctx k)
+      done;
+      h := Some s);
+  let h = Option.get !h in
+  (* retired / freed counted before the reset, added back after it *)
+  let retired0 = ref 0 and freed0 = ref 0 in
+  let samples = ref 0 and min_old = ref 0 in
+  let sample () =
+    incr samples;
+    let level = Scheme.unreclaimed ss
+    and since_creation =
+      !retired0 + ss.Scheme.retired - (!freed0 + ss.Scheme.freed)
+    in
+    if level < 0 || level <> since_creation then
+      Alcotest.failf "sample %d: unreclaimed = %d, retired - freed = %d"
+        !samples level since_creation;
+    min_old := min !min_old (ss.Scheme.retired - ss.Scheme.freed)
+  in
+  let round () =
+    for tid = 0 to 3 do
+      System.spawn sys ~tid (fun ctx ->
+          for i = 0 to 47 do
+            let k = (16 * tid) + (i mod 16) in
+            ignore (Michael_hash.delete h ctx k);
+            sample ();
+            ignore (Michael_hash.insert h ctx k);
+            sample ()
+          done)
+    done;
+    System.run sys
+  in
+  round ();
+  check_bool "limbo non-empty at the reset" true (Scheme.unreclaimed ss > 0);
+  retired0 := ss.Scheme.retired;
+  freed0 := ss.Scheme.freed;
+  System.reset_measurement sys;
+  check_int "reset leaves the level alone" (!retired0 - !freed0)
+    (Scheme.unreclaimed ss);
+  round ();
+  check_bool "post-reset frees happened" true (ss.Scheme.freed > 0);
+  (* positive control: the old formula, retired - freed of the window *)
+  check_bool
+    (Printf.sprintf "windowed retired - freed went negative (min %d)" !min_old)
+    true (!min_old < 0);
+  check_bool "gauge matches the metrics snapshot" true
+    (Metrics.find (System.metrics sys) "scheme.unreclaimed"
+    = Scheme.unreclaimed ss)
+
 let test_metrics_export_has_required_counters () =
   let sys = mk "oa-ver" in
   churn sys;
@@ -314,6 +373,9 @@ let suite =
     ( "reset_measurement zeroes snapshot",
       `Quick,
       test_reset_measurement_zeroes_snapshot );
+    ( "unreclaimed survives reset",
+      `Quick,
+      test_unreclaimed_survives_reset );
     ( "metrics export has required counters",
       `Quick,
       test_metrics_export_has_required_counters );
