@@ -1,4 +1,4 @@
-.PHONY: all build test check clean repro quick sweep bench fuzz profile fault-matrix
+.PHONY: all build test check clean repro quick bench fuzz profile fault-matrix
 
 all: build
 
@@ -15,22 +15,18 @@ check:
 	dune build
 	dune runtest
 
-# Worker-domain count for sharded targets (sweep, fault-matrix).
-# Output is byte-identical at any value; JOBS=1 is the determinism control.
+# Worker domains for the experiment targets (quick, repro, fault-matrix):
+# the cells of every experiment share one pool.  Output is byte-identical
+# at any value; JOBS=1 is the determinism control.
 JOBS ?= 1
 
-# Reproduce the paper's evaluation (quick preset).
+# Reproduce the paper's evaluation (quick preset), e.g.
+# `make quick JOBS=$(nproc)` on a multicore host.
 quick:
-	dune exec bin/repro.exe -- all --quick
+	dune exec bin/repro.exe -- all --quick -j $(JOBS)
 
 repro:
-	dune exec bin/repro.exe -- all
-
-# Domain-sharded sweep of the full experiment matrix: one experiment per
-# worker domain, reports merged in canonical order (byte-identical to
-# sequential).  `make sweep JOBS=$(shell nproc)` on a multicore host.
-sweep:
-	dune exec bin/repro.exe -- sweep --quick -j $(JOBS)
+	dune exec bin/repro.exe -- all -j $(JOBS)
 
 # The repository's benchmark: host time and simulated results for every
 # scheme on the list-1t, hash-4t and service workloads (perfbench/README.md).

@@ -1,7 +1,7 @@
 (* Command-line driver for the paper-reproduction experiments.
 
      repro list                          enumerate experiments
-     repro run fig4a [options]           run one experiment
+     repro run fig4a ... [options]       run the named experiments
      repro all [options]                 run every experiment
      repro fuzz [options]                randomized schedule fuzzing
      repro replay FILE                   replay a fuzz repro JSON
@@ -95,15 +95,15 @@ let sanitize_arg =
 
 let jobs_arg =
   let doc =
-    "Worker domains: shards independent cells inside an experiment (`run', \
-     `all'), whole experiments (`sweep') and fuzz seed chunks (`fuzz').  \
-     Output is byte-identical at any value."
+    "Worker domains: shards the cells of the selected experiments (`run', \
+     `all') or the fuzz seed chunks (`fuzz') across one pool.  Output is \
+     byte-identical at any value."
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let config_term =
   let make threads horizon fig4 fig6 full schemes seed csv quick trace metrics
-      sanitize jobs =
+      sanitize =
     let dfl = Experiments.default_config in
     let base =
       if quick then Experiments.quick_config else Experiments.default_config
@@ -122,12 +122,12 @@ let config_term =
         (if full then 1_000_000
          else pick fig6 dfl.Experiments.fig6_size base.Experiments.fig6_size)
       ~schemes ~seed ?csv_dir:csv ?trace_out:trace ?metrics_out:metrics
-      ~sanitize ~jobs ()
+      ~sanitize ()
   in
   Term.(
     const make $ threads_arg $ horizon_arg $ fig4_arg $ fig6_arg $ full_arg
     $ schemes_arg $ seed_arg $ csv_arg $ quick_arg $ trace_arg $ metrics_arg
-    $ sanitize_arg $ jobs_arg)
+    $ sanitize_arg)
 
 let list_cmd =
   let run () =
@@ -197,85 +197,49 @@ let schemes_cmd =
           scheme table).")
     Term.(const run $ md_arg)
 
-(* Render a doc and write its artifacts, on the coordinating domain:
-   [in_dir] artifacts (CSV dumps, garbage curves) go under --csv DIR when
-   given, the rest (traces, metrics) to their exact paths. *)
-let emit_doc (cfg : Experiments.config) doc =
-  Report.render stdout doc;
-  flush stdout;
-  ignore (Report.write_artifacts ?dir:cfg.Experiments.csv_dir doc)
+(* The one experiment driver behind `run' and `all': the cells of every
+   selected experiment share one pool of [jobs] domains; the docs come back
+   in canonical order and are rendered here, on the coordinating domain,
+   with [in_dir] artifacts (CSV dumps, garbage curves) under --csv DIR when
+   given and the rest (traces, metrics) at their exact paths.  A failing
+   experiment is reported and the others still print. *)
+let drive cfg jobs exps =
+  let failed =
+    List.filter_map
+      (fun (id, doc) ->
+        match doc with
+        | Ok doc ->
+            Report.render stdout doc;
+            flush stdout;
+            ignore (Report.write_artifacts ?dir:cfg.Experiments.csv_dir doc);
+            None
+        | Error msg ->
+            Printf.printf "\nFAILED %s: %s\n%!" id msg;
+            Some id)
+      (Experiments.run ~jobs cfg exps)
+  in
+  if failed <> [] then begin
+    Printf.printf "\n%d experiment(s) failed: %s\n%!" (List.length failed)
+      (String.concat ", " failed);
+    exit 1
+  end
 
 let run_cmd =
-  let id_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"EXPERIMENT" ~doc:"Experiment id (see `repro list').")
-  in
-  let run cfg id =
-    let e = Experiments.find id in
-    emit_doc cfg (e.Experiments.run cfg)
-  in
-  Cmd.v
-    (Cmd.info "run" ~doc:"Run one experiment.")
-    Term.(const run $ config_term $ id_arg)
-
-let all_cmd =
-  let run cfg =
-    List.iter
-      (fun (e : Experiments.t) -> emit_doc cfg (e.Experiments.run cfg))
-      Experiments.all
-  in
-  Cmd.v
-    (Cmd.info "all" ~doc:"Run every experiment.")
-    Term.(const run $ config_term)
-
-(* --- domain-sharded sweep --------------------------------------------------- *)
-
-let sweep_cmd =
   let ids_arg =
     Arg.(
-      value & pos_all string []
-      & info [] ~docv:"EXPERIMENT"
-          ~doc:"Experiment ids to sweep (default: all).")
+      non_empty & pos_all string []
+      & info [] ~docv:"EXPERIMENT" ~doc:"Experiment ids (see `repro list').")
   in
-  let run cfg ids =
-    let exps =
-      match ids with
-      | [] -> Experiments.all
-      | ids -> List.map Experiments.find ids
-    in
-    let outcomes =
-      Sweep.experiments ~jobs:cfg.Experiments.jobs cfg exps
-    in
-    (* workers returned docs; render and write in canonical order here *)
-    let failed =
-      List.filter
-        (fun (o : Sweep.experiment_outcome) ->
-          match o.Sweep.doc with
-          | Ok doc ->
-              emit_doc cfg doc;
-              false
-          | Error msg ->
-              Printf.printf "\nFAILED %s: %s\n%!" o.Sweep.id msg;
-              true)
-        outcomes
-    in
-    if failed <> [] then begin
-      Printf.printf "\nsweep: %d experiment(s) failed: %s\n%!"
-        (List.length failed)
-        (String.concat ", "
-           (List.map (fun (o : Sweep.experiment_outcome) -> o.Sweep.id) failed));
-      exit 1
-    end
-  in
+  let run cfg jobs ids = drive cfg jobs (List.map Experiments.find ids) in
   Cmd.v
-    (Cmd.info "sweep"
-       ~doc:
-         "Run experiments across -j worker domains (one experiment per job) \
-          and render the merged report in canonical order — byte-identical \
-          to a sequential run.")
-    Term.(const run $ config_term $ ids_arg)
+    (Cmd.info "run" ~doc:"Run the named experiments.")
+    Term.(const run $ config_term $ jobs_arg $ ids_arg)
+
+let all_cmd =
+  let run cfg jobs = drive cfg jobs Experiments.all in
+  Cmd.v
+    (Cmd.info "all" ~doc:"Run every experiment.")
+    Term.(const run $ config_term $ jobs_arg)
 
 (* --- schedule fuzzing ------------------------------------------------------ *)
 
@@ -722,6 +686,6 @@ let () =
        (Cmd.group
           (Cmd.info "repro" ~doc)
           [
-            list_cmd; schemes_cmd; run_cmd; all_cmd; sweep_cmd; fuzz_cmd;
-            replay_cmd; profile_cmd; timeline_cmd;
+            list_cmd; schemes_cmd; run_cmd; all_cmd; fuzz_cmd; replay_cmd;
+            profile_cmd; timeline_cmd;
           ]))

@@ -315,6 +315,14 @@ let run_on_thread0 t f =
   spawn t ~tid:0 f;
   run t
 
+let observe ctx ~until ~interval f =
+  if interval <= 0 then invalid_arg "System.observe: interval must be positive";
+  while Engine.Mem.now ctx < until do
+    f (Engine.Mem.now ctx);
+    Engine.Mem.charge ctx interval;
+    Engine.Mem.pause ctx
+  done
+
 (* {2 Teardown and metrics} *)
 
 (* Drain limbo lists and thread caches from every thread slot, then release

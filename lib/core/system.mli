@@ -104,6 +104,13 @@ val spawn : t -> tid:int -> (Engine.ctx -> unit) -> unit
 val run : ?max_steps:int -> t -> unit
 val run_on_thread0 : t -> (Engine.ctx -> unit) -> unit
 
+val observe : Engine.ctx -> until:int -> interval:int -> (int -> unit) -> unit
+(** The observer loop of a sampler thread: while the thread's clock is
+    below [until], call [f now], charge [interval] cycles and yield.  It
+    charges nothing else, so under [Min_clock] its samples interleave with
+    the workload in simulated-time order without perturbing it.  Raises
+    [Invalid_argument] unless [interval] is positive. *)
+
 (** {2 Fault injection} *)
 
 val set_fault_plan : t -> Fault_plan.t -> unit

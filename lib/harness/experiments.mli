@@ -2,10 +2,11 @@
     evaluation plus the mechanism experiments and ablations (see DESIGN.md
     for the index).
 
-    Experiments are value-returning: [run cfg] produces a {!Report.doc}
-    (sections, tables, charts, artifacts) instead of printing, so
-    independent experiments can run on separate domains ({!Sweep}) and the
-    coordinator renders the docs in canonical order. *)
+    An experiment is data: a list of independent cells plus a pure render
+    from their results to a {!Report.doc} (sections, tables, charts,
+    artifacts).  {!run} shards the cells of every selected experiment
+    across one pool of worker domains and renders the docs in canonical
+    order, so output is byte-identical at any job count. *)
 
 type config = {
   threads : int list;
@@ -27,11 +28,6 @@ type config = {
   sanitize : bool;
       (** run the fault-matrix experiment under the memory-lifecycle
           sanitizer (CI nightly leg) *)
-  jobs : int;
-      (** domain count for sharding *inside* one experiment (the
-          scheme x threads cells of the throughput figures, the fault
-          matrix legs); {!Sweep.experiments} forces this to 1 when it is
-          already sharding across experiments *)
 }
 
 (** Configuration builder: [Config.make ()] is {!default_config}; keyword
@@ -51,7 +47,6 @@ module Config : sig
     ?trace_out:string ->
     ?metrics_out:string ->
     ?sanitize:bool ->
-    ?jobs:int ->
     unit ->
     config
 end
@@ -63,13 +58,34 @@ val quick_config : config
 (** A faster preset for smoke runs (fewer thread counts, shorter horizon,
     smaller structures). *)
 
+(** {2 Cells} *)
+
+type 'a cells
+(** Independent jobs plus the pure function that turns their results, in
+    job order, into an ['a].  Every job builds its own seeded system, so
+    jobs may run on any domain in any order. *)
+
+val grid : 'k list -> ('k -> 'r) -> ('k * 'r) list cells
+(** One job per key; the results come back tagged with their key, in key
+    order. *)
+
+val map : ('a -> 'b) -> 'a cells -> 'b cells
+
 type t = {
   id : string;
   title : string;
   paper_ref : string;
   expected : string;  (** the paper's expected shape, stated up front *)
-  run : config -> Report.doc;
+  plan : config -> Report.doc cells;
 }
+
+val run :
+  jobs:int -> config -> t list -> (string * (Report.doc, string) result) list
+(** [run ~jobs cfg exps] runs the cells of every experiment through one
+    pool of at most [jobs] domains and returns [(id, doc)] per experiment
+    in list order.  A failing cell or render gives that experiment
+    [Error msg] (the first failing cell's exception, in cell order); the
+    others still complete. *)
 
 val all : t list
 

@@ -1,4 +1,5 @@
-(** The shared domain pool under {!Sweep}: a deterministic parallel [map]
+(** The shared domain pool under {!Experiments.run} and
+    {!Sweep.fuzz_matrix}: a deterministic parallel [map]
     over OCaml 5 [Domain]s.
 
     Jobs are claimed from an atomic counter, each worker writes only its

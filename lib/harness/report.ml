@@ -2,12 +2,12 @@
 
    A report is a [doc]: an ordered list of sections, free text, aligned
    tables, ASCII line charts and file artifacts.  Constructors are pure and
-   rendering is a separate step, so experiment runs can execute on worker
-   domains and hand their docs back to a coordinator that renders them in
-   canonical job order — the merged output is byte-identical to a
-   sequential run.  Artifacts (CSV dumps, JSON curves, traces) are also
-   values: worker domains never open files; [write_artifacts] does, on the
-   coordinating domain. *)
+   rendering is a separate step, so experiments can execute on worker
+   domains while the coordinator renders their docs in canonical order —
+   the merged output is byte-identical to a sequential run.
+   Artifacts (CSV dumps, JSON curves, traces) are also values: worker
+   domains never open files; [write_artifacts] does, on the coordinating
+   domain. *)
 
 module Json = Oamem_obs.Json
 
@@ -48,15 +48,7 @@ let artifact ?(in_dir = true) ~filename content =
   Artifact { filename; in_dir; content }
 
 let csv ~filename ~header rows =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (String.concat "," header);
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun row ->
-      Buffer.add_string buf (String.concat "," row);
-      Buffer.add_char buf '\n')
-    rows;
-  artifact ~filename (Buffer.contents buf)
+  artifact ~filename (Oamem_obs.Export.csv ~header rows)
 
 let json_artifact ?in_dir ~filename j =
   artifact ?in_dir ~filename (Json.to_string j ^ "\n")

@@ -2,11 +2,11 @@
     sections, free text, aligned tables, ASCII line charts and file
     artifacts — built by pure constructors and rendered later.
 
-    Experiments return docs instead of printing (see {!Experiments.t}), so
-    independent configurations can run on separate domains and the
-    coordinator can merge their output deterministically: rendering a list
-    of docs in canonical job order is byte-identical no matter how many
-    domains produced them ({!Sweep}). *)
+    Experiments render docs instead of printing (see {!Experiments.t}), so
+    their cells can run on separate domains and the coordinator can merge
+    their output deterministically: rendering a list of docs in canonical
+    order is byte-identical no matter how many domains produced the
+    results ({!Experiments.run}). *)
 
 type table = { header : string list; rows : string list list }
 
@@ -63,7 +63,8 @@ val chart :
   item
 
 val csv : filename:string -> header:string list -> string list list -> item
-(** A CSV artifact destined for the artifact directory. *)
+(** A CSV artifact destined for the artifact directory, formatted by
+    {!Oamem_obs.Export.csv}: raises [Invalid_argument] on a ragged row. *)
 
 val artifact : ?in_dir:bool -> filename:string -> string -> item
 (** Raw artifact; [in_dir] defaults to [true]. *)

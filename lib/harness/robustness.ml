@@ -1,7 +1,7 @@
 (* Robustness runs: garbage growth under a faulty thread.
 
    One run drives [workers] simulated threads over a hash set with an
-   update-only workload while a dedicated monitor thread samples the
+   update-only workload while a dedicated observer thread samples the
    scheme's retired-but-unreclaimed node count over simulated time.  In the
    [Stall] variant, thread 0 is suspended mid-operation (at its
    [stall_at_yield]-th yield) for longer than the whole run; in the [Crash]
@@ -40,7 +40,7 @@ let fault_name = function
 
 type spec = {
   scheme : string;
-  workers : int;  (** workload threads; the monitor adds one more slot *)
+  workers : int;  (** workload threads; the sampler adds one more slot *)
   initial : int;
   horizon_cycles : int;
   stall_at_yield : int;
@@ -67,9 +67,11 @@ let default_spec =
     sanitize = false;
   }
 
+type sample = { at_cycles : int; unreclaimed : int }
+
 type result = {
   spec : spec;
-  samples : Monitor.sample list;
+  samples : sample list;
   max_unreclaimed : int;
   final_unreclaimed : int;
   final_pinned : int;
@@ -145,9 +147,16 @@ let run spec =
           ops.(tid) <- ops.(tid) + 1
         done)
   done;
-  let monitor = Monitor.create ~node_words:Node.words () in
-  Monitor.spawn monitor sys ~tid:spec.workers ~horizon:spec.horizon_cycles
-    ~interval:spec.sample_interval;
+  (* The sampler is an observer: retired-but-unreclaimed nodes over
+     simulated time, newest first. *)
+  let stats = (System.scheme sys).Scheme.stats in
+  let rev_samples = ref [] in
+  System.spawn sys ~tid:spec.workers (fun ctx ->
+      System.observe ctx ~until:spec.horizon_cycles
+        ~interval:spec.sample_interval (fun at_cycles ->
+          rev_samples :=
+            { at_cycles; unreclaimed = Scheme.unreclaimed stats }
+            :: !rev_samples));
   System.run sys;
   (* Access-level sanitizer verdict for the run.  The quiescence (leak)
      check is only meaningful without a crash: a fail-stopped thread's
@@ -160,18 +169,19 @@ let run spec =
     neutralized :=
       !neutralized + (Engine.fault_stats engine ~tid).Engine.neutralized
   done;
-  let ss = (System.scheme sys).Scheme.stats in
   {
     spec;
-    samples = Monitor.samples monitor;
-    max_unreclaimed = Monitor.max_unreclaimed monitor;
-    final_unreclaimed = Monitor.final_unreclaimed monitor;
-    final_pinned = Scheme.pinned ss;
+    samples = List.rev !rev_samples;
+    max_unreclaimed =
+      List.fold_left (fun m s -> max m s.unreclaimed) 0 !rev_samples;
+    final_unreclaimed =
+      (match !rev_samples with [] -> 0 | s :: _ -> s.unreclaimed);
+    final_pinned = Scheme.pinned stats;
     ops = Array.fold_left ( + ) 0 ops;
     stalls_injected = fs0.Engine.stalls_injected;
     crashed = fs0.Engine.crashed;
     neutralized = !neutralized;
-    seized = ss.Scheme.seized;
+    seized = stats.Scheme.seized;
   }
 
 (* Faulted run ([Stall] when the spec says [No_fault]) and healthy control

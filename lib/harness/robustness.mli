@@ -7,15 +7,13 @@
     (and seizes a crashed thread's limbo bags), keeping its garbage bounded
     where EBR's is not. *)
 
-open Oamem_faults
-
 type fault = No_fault | Stall | Crash
 
 val fault_name : fault -> string
 
 type spec = {
   scheme : string;
-  workers : int;  (** workload threads; the monitor adds one more slot *)
+  workers : int;  (** workload threads; the sampler adds one more slot *)
   initial : int;
   horizon_cycles : int;
   stall_at_yield : int;  (** thread 0 faults at this (1-based) yield *)
@@ -29,9 +27,14 @@ type spec = {
 
 val default_spec : spec
 
+type sample = {
+  at_cycles : int;
+  unreclaimed : int;  (** retired - freed nodes at this instant *)
+}
+
 type result = {
   spec : spec;
-  samples : Monitor.sample list;
+  samples : sample list;  (** in simulated-time order *)
   max_unreclaimed : int;
   final_unreclaimed : int;
   final_pinned : int;

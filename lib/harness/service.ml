@@ -4,7 +4,7 @@
    layout carry over — the point is how each reclamation scheme behaves
    when the traffic shape moves under it), with a Timeline recording
    windowed and per-phase behaviour.  Thread slot [threads] is a dedicated
-   gauge sampler in the Monitor style: it charges only its sampling
+   gauge sampler ([System.observe]): it charges only its sampling
    interval, so under Min_clock its samples interleave deterministically
    with the workload.
 
@@ -288,15 +288,12 @@ let run spec =
         (* The sampler is an observer: it charges only its interval, so the
            unreclaimed/frames curves are a faithful simulated time series. *)
         System.spawn sys ~tid:spec.threads (fun ctx ->
-            while Engine.Mem.now ctx < t_end do
-              let now = Engine.Mem.now ctx in
-              Timeline.sample_gauge tl ~at:now g_unreclaimed
-                (Scheme.unreclaimed sstats);
-              Timeline.sample_gauge tl ~at:now g_frames
-                (Vmem.frames_live vmem);
-              Engine.Mem.charge ctx spec.sample_interval;
-              Engine.Mem.pause ctx
-            done);
+            System.observe ctx ~until:t_end ~interval:spec.sample_interval
+              (fun now ->
+                Timeline.sample_gauge tl ~at:now g_unreclaimed
+                  (Scheme.unreclaimed sstats);
+                Timeline.sample_gauge tl ~at:now g_frames
+                  (Vmem.frames_live vmem)));
         (* Pressure ballast (quota phases): a co-tenant thread grabbing
            persistent memory in its own size classes, Pressure-experiment
            style — each round carves fresh superblocks and touches every
@@ -325,10 +322,8 @@ let run spec =
               Lrmalloc.with_pressure_recovery alloc ctx (fun () ->
                   Lrmalloc.flush_thread_cache alloc ctx)
             end;
-            while Engine.Mem.now ctx < t_end do
-              Engine.Mem.charge ctx spec.sample_interval;
-              Engine.Mem.pause ctx
-            done);
+            System.observe ctx ~until:t_end ~interval:spec.sample_interval
+              ignore);
         System.run sys;
         if quota_installed then Vmem.set_frame_quota vmem None;
         let recovered =

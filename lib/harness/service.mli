@@ -7,7 +7,7 @@
     memory-pressure wave (insert-heavy growth under a live-frame quota that
     drives lrmalloc's pressure-recovery path).  A {!Oamem_obs.Timeline}
     records windowed and per-phase counters, gauge samples (a dedicated
-    sampler thread, Monitor-style) and exact per-phase op latency
+    sampler thread, {!Oamem_core.System.observe}) and exact per-phase op latency
     histograms; {!run} distils them into SLA-style {!phase_stats}.
 
     Deterministic: same spec, byte-identical timeline and stats. *)

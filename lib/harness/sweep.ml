@@ -1,30 +1,10 @@
-(* Domain-sharded sweep orchestration over the Pool domain pool.
+(* The domain-sharded fuzz matrix over the Pool domain pool.
 
    Determinism by construction: every job builds its own seeded System (no
    module-level state, see DESIGN.md), workers only *return* values — the
-   coordinating domain renders docs, prints, and writes files in canonical
-   job order — and the fuzz seed-space chunking is fixed independently of
-   the domain count.  [-j 1] and [-j N] therefore produce byte-identical
-   merged output. *)
-
-let map = Pool.map
-let map_exn = Pool.map_exn
-
-(* --- experiment sweeps ------------------------------------------------------ *)
-
-type experiment_outcome = {
-  index : int;
-  id : string;
-  doc : (Report.doc, string) result;
-}
-
-let experiments ~jobs (cfg : Experiments.config) exps =
-  (* each worker owns a whole experiment; no nested pools inside it *)
-  let inner = { cfg with Experiments.jobs = 1 } in
-  let results = Pool.map ~jobs (fun (e : Experiments.t) -> e.run inner) exps in
-  List.mapi
-    (fun index ((e : Experiments.t), doc) -> { index; id = e.id; doc })
-    (List.combine exps results)
+   coordinating domain shrinks, prints and writes files in canonical cell
+   order — and the seed-space chunking is fixed independently of the
+   domain count.  [-j 1] and [-j N] therefore report identical findings. *)
 
 (* --- fuzz matrix ------------------------------------------------------------ *)
 

@@ -1,48 +1,5 @@
-(** Domain-sharded sweep orchestration.
-
-    The simulator is deterministic per configuration and every [System] is
-    per-[create] — no module-level state — so independent experiment
-    configurations and fuzz cells can run on OCaml 5 [Domain]s.  This
-    module provides the shared pool: jobs are split across [-j N] worker
-    domains, each job's result (or error) is captured, and results come
-    back in canonical job order, so merged output is byte-identical to a
-    sequential run no matter how many domains produced it.
-
-    Worker jobs must not print or touch the filesystem — they return
-    values ({!Report.doc}s, findings) and the coordinating domain renders
-    and writes in order. *)
-
-val map : jobs:int -> ('a -> 'b) -> 'a list -> ('b, string) result list
-(** [map ~jobs f items] applies [f] to every item on a pool of at most
-    [jobs] domains ([jobs <= 1] runs inline on the calling domain — the
-    single-domain control leg).  Results are in input order; a job that
-    raises yields [Error (Printexc.to_string exn)] and the other jobs
-    still complete. *)
-
-val map_exn : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** Like {!map} but re-raises [Failure] describing the first failed job.
-    For sharding *inside* one experiment, where a leg failure should fail
-    the experiment. *)
-
-(** {2 Experiment sweeps} *)
-
-type experiment_outcome = {
-  index : int;  (** canonical position in the job list *)
-  id : string;  (** experiment id *)
-  doc : (Report.doc, string) result;
-}
-
-val experiments :
-  jobs:int ->
-  Experiments.config ->
-  Experiments.t list ->
-  experiment_outcome list
-(** Run the experiment list across [jobs] domains (each worker runs its
-    experiment with [config.jobs = 1] — no nested pools) and return the
-    docs in canonical order.  A failing experiment reports its id and
-    error; the others complete. *)
-
-(** {2 Fuzz matrix}
+(** The domain-sharded fuzz matrix (experiment cells are sharded by
+    {!Experiments.run}; both go through {!Pool}).
 
     Each (scenario, scheme) cell's run budget is split into a fixed number
     of chunks with derived, disjoint seeds; chunks are the unit of

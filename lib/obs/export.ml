@@ -311,7 +311,7 @@ let metrics_json ?(extra = []) (s : Metrics.snapshot) =
 
 let write_metrics ?extra path s = write_file path (Json.to_string (metrics_json ?extra s))
 
-let write_csv path ~header rows =
+let csv ~header rows =
   (* Ragged rows silently corrupt downstream tooling (column shifts in
      spreadsheet/pandas imports); validate up front. *)
   let width = List.length header in
@@ -320,19 +320,15 @@ let write_csv path ~header rows =
       let w = List.length row in
       if w <> width then
         invalid_arg
-          (Printf.sprintf
-             "Export.write_csv %s: row %d has %d cells, header has %d" path i
-             w width))
+          (Printf.sprintf "Export.csv: row %d has %d cells, header has %d" i w
+             width))
     rows;
+  String.concat "" (List.map (fun row -> String.concat "," row ^ "\n") (header :: rows))
+
+let write_csv path ~header rows =
+  let s = csv ~header rows in
   let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc (String.concat "," header);
-      output_char oc '\n';
-      List.iter
-        (fun row ->
-          output_string oc (String.concat "," row);
-          output_char oc '\n')
-        rows)
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
 
 let write_timeline_csv path tl =
   let header, rows = timeline_csv tl in

@@ -31,11 +31,15 @@ val metrics_json : ?extra:(string * Json.t) list -> Metrics.snapshot -> Json.t
 
 val write_metrics : ?extra:(string * Json.t) list -> string -> Metrics.snapshot -> unit
 
-val write_csv : string -> header:string list -> string list list -> unit
+val csv : header:string list -> string list list -> string
 (** Plain CSV with a header row; cells are written verbatim (callers pass
     numbers and bare identifiers, nothing needing quoting).  Raises
     [Invalid_argument] if any row's cell count differs from the header's —
-    ragged rows silently shift columns in downstream tooling. *)
+    ragged rows silently shift columns in downstream tooling.  Every CSV
+    the repo writes goes through this, {!Report.csv} artifacts included. *)
+
+val write_csv : string -> header:string list -> string list list -> unit
+(** [csv ~header rows], written to a file. *)
 
 (** {2 Timelines} *)
 

@@ -214,6 +214,17 @@ let test_report_csv () =
   | _ -> Alcotest.fail "expected one written file");
   check_bool "no dir, no write" true (Report.write_artifacts doc = [])
 
+(* A ragged row would silently shift columns in the written file; the one
+   CSV formatter rejects it for experiment artifacts as it does for
+   Export.write_csv. *)
+let test_report_csv_rejects_ragged_rows () =
+  match
+    Report.csv ~filename:"t.csv" ~header:[ "a"; "b" ]
+      [ [ "1"; "2" ]; [ "3" ] ]
+  with
+  | _ -> Alcotest.fail "ragged row accepted"
+  | exception Invalid_argument _ -> ()
+
 (* --- experiments registry ------------------------------------------------------- *)
 
 let test_experiments_registry () =
@@ -236,17 +247,20 @@ let test_experiments_registry () =
 
 let test_small_experiment_runs () =
   (* dwcas-leak is the cheapest full experiment: run it end to end *)
-  let doc =
-    (Experiments.find "dwcas-leak").Experiments.run Experiments.quick_config
-  in
-  check_bool "returned a table" true (String.length (Report.to_string doc) > 100)
+  match
+    Experiments.run ~jobs:1 Experiments.quick_config
+      [ Experiments.find "dwcas-leak" ]
+  with
+  | [ ("dwcas-leak", Ok doc) ] ->
+      check_bool "returned a table" true
+        (String.length (Report.to_string doc) > 100)
+  | _ -> Alcotest.fail "expected one successful doc"
 
 let test_config_builder () =
   check_bool "make () is the default" true
     (Experiments.Config.make () = Experiments.default_config);
-  let c = Experiments.Config.make ~seed:42 ~jobs:3 ~csv_dir:"out" () in
+  let c = Experiments.Config.make ~seed:42 ~csv_dir:"out" () in
   check_int "override seed" 42 c.Experiments.seed;
-  check_int "override jobs" 3 c.Experiments.jobs;
   check_bool "override csv_dir" true (c.Experiments.csv_dir = Some "out");
   check_bool "rest defaulted" true
     (c.Experiments.threads = Experiments.default_config.Experiments.threads)
@@ -331,6 +345,7 @@ let suite =
     ("report table", `Quick, test_report_table_alignment);
     ("report chart", `Quick, test_report_chart_renders_series);
     ("report csv", `Quick, test_report_csv);
+    ("report csv rejects ragged rows", `Quick, test_report_csv_rejects_ragged_rows);
     ("experiments registry", `Quick, test_experiments_registry);
     ("small experiment runs", `Quick, test_small_experiment_runs);
     ("config builder", `Quick, test_config_builder);

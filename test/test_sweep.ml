@@ -1,6 +1,7 @@
-(* Tests for the domain-sharded sweep orchestration: the pool's ordering and
-   error capture, byte-identical experiment docs at -j 1 vs -j 4, identical
-   fuzz findings for a fixed seed set, and mid-run worker failure. *)
+(* Tests for domain sharding: the pool's ordering and error capture, the
+   experiment driver's byte-identical docs and artifacts at -j 1 vs -j 4
+   and its failing-experiment report, and identical fuzz findings for a
+   fixed seed set. *)
 
 open Oamem_harness
 
@@ -20,7 +21,7 @@ let contains haystack needle =
 
 let test_pool_preserves_order () =
   let items = List.init 23 Fun.id in
-  let results = Sweep.map ~jobs:4 (fun i -> i * i) items in
+  let results = Pool.map ~jobs:4 (fun i -> i * i) items in
   check_int "all results" 23 (List.length results);
   List.iteri
     (fun i r ->
@@ -33,11 +34,11 @@ let test_pool_inline_matches_domains () =
   let items = List.init 9 Fun.id in
   let f i = Printf.sprintf "r%d" (i * 3) in
   check_bool "jobs:1 = jobs:4" true
-    (Sweep.map ~jobs:1 f items = Sweep.map ~jobs:4 f items)
+    (Pool.map ~jobs:1 f items = Pool.map ~jobs:4 f items)
 
 let test_pool_captures_exceptions () =
   let results =
-    Sweep.map ~jobs:4
+    Pool.map ~jobs:4
       (fun i -> if i = 2 then failwith "boom" else i)
       [ 0; 1; 2; 3 ]
   in
@@ -52,7 +53,7 @@ let test_pool_captures_exceptions () =
 
 let test_pool_map_exn_raises () =
   match
-    Sweep.map_exn ~jobs:2 (fun i -> if i = 1 then failwith "bad" else i)
+    Pool.map_exn ~jobs:2 (fun i -> if i = 1 then failwith "bad" else i)
       [ 0; 1 ]
   with
   | _ -> Alcotest.fail "expected Failure"
@@ -60,63 +61,61 @@ let test_pool_map_exn_raises () =
       check_bool "names the job" true
         (contains msg "job 1")
 
-(* --- experiment sweeps: determinism ---------------------------------------------- *)
+(* --- the experiment driver: determinism ----------------------------------------- *)
 
 (* A cheap config still broad enough to produce tables, charts and
-   artifacts from the cheap experiments. *)
+   artifacts from every experiment. *)
 let sweep_cfg =
   Experiments.Config.make ~threads:[ 1; 2 ] ~horizon_cycles:20_000
     ~fig4_size:60 ~fig6_size:500 ~schemes:[ "nr"; "oa-ver" ] ()
 
-let sweep_exps =
-  List.map Experiments.find [ "dwcas-leak"; "micro-validate"; "limbo-sweep" ]
-
-let render_outcomes outcomes =
+let rendered outcomes =
   String.concat ""
     (List.map
-       (fun (o : Sweep.experiment_outcome) ->
-         match o.Sweep.doc with
+       (fun (id, doc) ->
+         match doc with
          | Ok doc -> Report.to_string doc
-         | Error msg -> Printf.sprintf "FAILED %s: %s\n" o.Sweep.id msg)
+         | Error msg -> Printf.sprintf "FAILED %s: %s\n" id msg)
        outcomes)
 
-let test_sweep_docs_byte_identical () =
-  let seq = Sweep.experiments ~jobs:1 sweep_cfg sweep_exps in
-  let par = Sweep.experiments ~jobs:4 sweep_cfg sweep_exps in
-  check_int "same count" (List.length seq) (List.length par);
-  List.iter2
-    (fun (a : Sweep.experiment_outcome) (b : Sweep.experiment_outcome) ->
-      check_string "same id in same slot" a.Sweep.id b.Sweep.id;
-      check_int "same index" a.Sweep.index b.Sweep.index)
-    seq par;
-  check_string "merged report byte-identical" (render_outcomes seq)
-    (render_outcomes par);
-  (* artifacts (CSV contents and filenames) are part of the contract too *)
-  let artifact_dump outcomes =
-    String.concat ""
-      (List.concat_map
-         (fun (o : Sweep.experiment_outcome) ->
-           match o.Sweep.doc with
-           | Ok doc ->
-               List.map
-                 (fun (a : Report.artifact) -> a.Report.filename ^ a.Report.content)
-                 (Report.artifacts doc)
-           | Error _ -> [])
-         outcomes)
-  in
-  check_string "artifacts byte-identical" (artifact_dump seq)
-    (artifact_dump par)
+(* artifacts (CSV contents and filenames) are part of the contract too *)
+let artifact_dump outcomes =
+  String.concat ""
+    (List.concat_map
+       (fun (_, doc) ->
+         match doc with
+         | Ok doc ->
+             List.map
+               (fun (a : Report.artifact) -> a.Report.filename ^ a.Report.content)
+               (Report.artifacts doc)
+         | Error _ -> [])
+       outcomes)
 
-let test_sweep_internal_sharding_identical () =
-  (* cfg.jobs shards *inside* an experiment (cells of the scheme x threads
-     grid); the doc must not depend on it *)
-  let e = Experiments.find "dwcas-leak" in
-  let seq = e.Experiments.run sweep_cfg in
-  let par =
-    e.Experiments.run { sweep_cfg with Experiments.jobs = 4 }
+let check_identical_across_jobs ids =
+  let run jobs =
+    Experiments.run ~jobs sweep_cfg (List.map Experiments.find ids)
   in
-  check_string "internal sharding invisible" (Report.to_string seq)
-    (Report.to_string par)
+  let seq = run 1 and par = run 4 in
+  check_bool "same ids in the same slots" true
+    (List.map fst seq = ids && List.map fst par = ids);
+  List.iter
+    (fun (id, doc) -> check_bool (id ^ " ok") true (Result.is_ok doc))
+    seq;
+  check_string "merged report byte-identical" (rendered seq) (rendered par);
+  check_string "artifacts byte-identical" (artifact_dump seq)
+    (artifact_dump par);
+  seq
+
+(* several experiments' cells interleaved in one pool *)
+let test_sweep_docs_byte_identical () =
+  ignore
+    (check_identical_across_jobs
+       [ "dwcas-leak"; "micro-validate"; "limbo-sweep" ])
+
+(* Experiments with many cells of unequal cost, so that at -j 4 the cells
+   finish out of order: the docs must still come out in cell order. *)
+let test_sweep_internal_sharding_identical () =
+  ignore (check_identical_across_jobs [ "limbo-sweep"; "fig5a"; "robustness" ])
 
 let test_sweep_reports_failing_job () =
   let boom =
@@ -125,44 +124,33 @@ let test_sweep_reports_failing_job () =
       title = "always fails";
       paper_ref = "-";
       expected = "-";
-      run = (fun _ -> failwith "deliberate failure");
+      plan =
+        (fun _ ->
+          Experiments.grid [ () ] (fun () -> failwith "deliberate failure")
+          |> Experiments.map (fun _ -> []));
     }
   in
-  let outcomes =
-    Sweep.experiments ~jobs:4 sweep_cfg
+  match
+    Experiments.run ~jobs:4 sweep_cfg
       [ Experiments.find "dwcas-leak"; boom; Experiments.find "micro-validate" ]
-  in
-  (match outcomes with
-  | [ a; b; c ] ->
-      check_bool "first ok" true (Result.is_ok a.Sweep.doc);
-      check_string "failing job id" "boom" b.Sweep.id;
-      (match b.Sweep.doc with
+  with
+  | [ (_, a); (id, b); (_, c) ] ->
+      check_bool "first ok" true (Result.is_ok a);
+      check_string "failing job id" "boom" id;
+      (match b with
       | Error msg ->
           check_bool "error captured" true
             (contains msg "deliberate failure")
       | Ok _ -> Alcotest.fail "boom should fail");
-      check_bool "later job still completes" true (Result.is_ok c.Sweep.doc)
-  | _ -> Alcotest.fail "expected three outcomes")
+      check_bool "later job still completes" true (Result.is_ok c)
+  | _ -> Alcotest.fail "expected three outcomes"
 
-(* The service experiment (E14) shards its scheme list across cfg.jobs
-   domains and renders timelines per scheme; its doc and artifacts
-   (timeline JSON/CSV) must be byte-identical at any -j. *)
+(* The service experiment (E14) runs one cell per scheme and renders
+   timelines per scheme; its doc and artifacts (timeline JSON/CSV) must be
+   byte-identical at any -j. *)
 let test_service_experiment_identical_across_jobs () =
-  let e = Experiments.find "service" in
-  let seq = e.Experiments.run sweep_cfg in
-  let par = e.Experiments.run { sweep_cfg with Experiments.jobs = 4 } in
-  check_string "service doc byte-identical across -j" (Report.to_string seq)
-    (Report.to_string par);
-  let artifact_dump doc =
-    String.concat ""
-      (List.map
-         (fun (a : Report.artifact) -> a.Report.filename ^ a.Report.content)
-         (Report.artifacts doc))
-  in
   check_bool "service run produced timeline artifacts" true
-    (Report.artifacts seq <> []);
-  check_string "timeline artifacts byte-identical across -j"
-    (artifact_dump seq) (artifact_dump par)
+    (artifact_dump (check_identical_across_jobs [ "service" ]) <> "")
 
 (* --- fuzz matrix: determinism ----------------------------------------------------- *)
 
